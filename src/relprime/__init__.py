@@ -8,7 +8,6 @@ recounts everything from the definitions for verification.
 
 from ._kernels import BACKEND
 from .counting import (
-    Count,
     binomial,
     f,
     f_k,
@@ -26,10 +25,7 @@ from .errors import (
     SetSpecError,
 )
 from .numtheory import (
-    DivisorList,
-    MoebiusTable,
     divisors_with_mu,
-    ext_gcd,
     factorize,
     mod_inverse,
     moebius,
@@ -49,11 +45,9 @@ from .oracle import (
     subset_gcd_histogram,
 )
 from .setmodel import (
-    ENUMERATION_CAP,
     Progression,
     ProgressionUnion,
     count_ap_multiples,
-    count_interval_multiples,
     enumerate_elements,
     interval,
     parse_set_spec,
@@ -67,11 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND",
     "BudgetExceededError",
-    "Count",
-    "DivisorList",
     "DomainError",
-    "ENUMERATION_CAP",
-    "MoebiusTable",
     "OracleBudget",
     "OverlapError",
     "Progression",
@@ -84,10 +74,8 @@ __all__ = [
     "brute_phi_k",
     "brute_tuples",
     "count_ap_multiples",
-    "count_interval_multiples",
     "divisors_with_mu",
     "enumerate_elements",
-    "ext_gcd",
     "f",
     "f_k",
     "factorize",

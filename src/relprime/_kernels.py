@@ -1,41 +1,24 @@
-"""Hot enumeration kernels with two interchangeable backends.
+"""Hot enumeration loops: the Möbius sieve, the subset gcd histogram and
+the tuple walks.
 
-The jitted backend compiles the inner loops with numba; the fallback
-backend uses numpy array operations (and itertools for the tuple walks).
-Both produce identical integers.  Selection happens once at import time:
-``RELPRIME_BACKEND=numpy`` forces the fallback, ``RELPRIME_BACKEND=numba``
-requires numba, anything else picks numba when importable.
+The sieve and the subset pass are vectorized numpy; the tuple walks are
+itertools over plain Python ints, so they are exact at any size.  Every
+function returns the same integers its definition does, and the formula
+paths never touch these arrays except through the sieve table, which
+numtheory converts to Python ints once.
 """
 
 import itertools
-import os
 from math import gcd
 
 import numpy as np
 
+BACKEND = "numpy"
+
 ORDERED, NONDECREASING, STRICT = 0, 1, 2
 
-_REQUESTED = os.environ.get("RELPRIME_BACKEND", "auto").strip().lower() or "auto"
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ImportError(
-        f"RELPRIME_BACKEND must be 'numba' or 'numpy', not {_REQUESTED!r}"
-    )
 
-if _REQUESTED == "numpy":
-    njit = None
-else:
-    try:
-        from numba import njit
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-        njit = None
-
-HAVE_NUMBA = njit is not None
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-def moebius_fallback(limit: int) -> np.ndarray:
+def moebius_values(limit: int) -> np.ndarray:
     """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
@@ -49,13 +32,14 @@ def moebius_fallback(limit: int) -> np.ndarray:
     return mu
 
 
-def subset_counts_fallback(elements: np.ndarray, fold: int) -> np.ndarray:
+def subset_gcd_counts(elements: np.ndarray, fold: int) -> np.ndarray:
     """counts[c] = number of c-element subsets with gcd(subset, fold) == 1.
 
     Subset index s selects element i exactly when bit i of s is set.  The
     gcd array is grown one element at a time, so entry s of the final array
     is the left-fold gcd over the selected elements seeded with ``fold``
-    (fold = 0 leaves the plain gcd of the subset).
+    (fold = 0 leaves the plain gcd of the subset).  Callers keep fold and
+    the elements within int64.
     """
     g = np.array([fold], dtype=np.int64)
     size = np.array([0], dtype=np.int64)
@@ -68,7 +52,7 @@ def subset_counts_fallback(elements: np.ndarray, fold: int) -> np.ndarray:
     return counts
 
 
-def tuple_count_fallback(n: int, k: int, fold: int, regime: int) -> int:
+def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
     """Count k-tuples over [1, n] in one ordering regime with gcd == 1."""
     values = range(1, n + 1)
     if regime == ORDERED:
@@ -87,102 +71,3 @@ def tuple_count_fallback(n: int, k: int, fold: int, regime: int) -> int:
         if g == 1:
             total += 1
     return total
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gcd64(a, b):
-        while b:
-            a, b = b, a % b
-        return a
-
-    @njit(cache=True)
-    def moebius_numba(limit):
-        # linear sieve: every composite is struck once via its smallest prime
-        mu = np.zeros(limit + 1, dtype=np.int8)
-        mu[1] = 1
-        composite = np.zeros(limit + 1, dtype=np.uint8)
-        primes = np.empty(limit // 2 + 1, dtype=np.int64)
-        nprimes = 0
-        for i in range(2, limit + 1):
-            if composite[i] == 0:
-                primes[nprimes] = i
-                nprimes += 1
-                mu[i] = -1
-            for j in range(nprimes):
-                ip = i * primes[j]
-                if ip > limit:
-                    break
-                composite[ip] = 1
-                if i % primes[j] == 0:
-                    mu[ip] = 0
-                    break
-                mu[ip] = -mu[i]
-        return mu
-
-    @njit(cache=True)
-    def subset_counts_numba(elements, fold):
-        m = elements.shape[0]
-        counts = np.zeros(m + 1, dtype=np.int64)
-        for s in range(1, 1 << m):
-            g = fold
-            c = 0
-            for i in range(m):
-                if (s >> i) & 1:
-                    c += 1
-                    if g != 1:
-                        g = _gcd64(g, elements[i])
-            if g == 1:
-                counts[c] += 1
-        return counts
-
-    @njit(cache=True)
-    def tuple_count_numba(n, k, fold, regime):
-        # odometer over positions 0..k-1; the lower bound at each position
-        # depends on the regime (1 / previous value / previous value + 1)
-        vals = np.zeros(k, dtype=np.int64)
-        prefix = np.zeros(k + 1, dtype=np.int64)
-        prefix[0] = fold
-        total = 0
-        pos = 0
-        nxt = 1
-        while pos >= 0:
-            if nxt > n:
-                pos -= 1
-                if pos >= 0:
-                    nxt = vals[pos] + 1
-                continue
-            vals[pos] = nxt
-            g = prefix[pos]
-            if g != 1:
-                g = _gcd64(g, nxt)
-            prefix[pos + 1] = g
-            if pos == k - 1:
-                if g == 1:
-                    total += 1
-                nxt += 1
-            else:
-                pos += 1
-                if regime == ORDERED:
-                    nxt = 1
-                elif regime == NONDECREASING:
-                    nxt = vals[pos - 1]
-                else:
-                    nxt = vals[pos - 1] + 1
-        return total
-
-else:
-    moebius_numba = None
-    subset_counts_numba = None
-    tuple_count_numba = None
-
-
-if HAVE_NUMBA:
-    moebius_values = moebius_numba
-    subset_gcd_counts = subset_counts_numba
-    tuple_gcd_count = tuple_count_numba
-else:
-    moebius_values = moebius_fallback
-    subset_gcd_counts = subset_counts_fallback
-    tuple_gcd_count = tuple_count_fallback

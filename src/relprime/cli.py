@@ -1,5 +1,9 @@
 """Command-line front end: count, seq, and verify subcommands.
 
+All three read one registry, _FUNCTIONS, which maps each function name
+to its parameters, its formula, its oracle and, for the tuple counters,
+the ordering the oracle enumerates.
+
 Records go to stdout as JSON lines (one object per query) or, with
 --tsv, as headerless tab-separated rows.  Counts are rendered as decimal
 strings so arbitrarily large values survive 64-bit JSON parsers.
@@ -30,25 +34,19 @@ EXIT_VERIFY_MISMATCH = 6
 
 ENV_BUDGET_SUBSETS = "RELPRIME_BUDGET_SUBSETS"
 
-# parameters each counting function takes, beyond the function name
-_ARITY = {
-    "f": ("set",),
-    "fk": ("set", "k"),
-    "phi": ("set", "n"),
-    "phik": ("set", "n", "k"),
-    "S": ("n", "k", "m"),
-    "G": ("n", "k"),
-    "L": ("n", "k", "m"),
-    "H": ("n", "k"),
-    "T": ("n", "k", "m"),
-}
-
-_TUPLE_ORDERING = {
-    "S": "ordered",
-    "G": "ordered",
-    "L": "nondecreasing",
-    "H": "nondecreasing",
-    "T": "strict",
+# function -> (parameters beyond the name, formula, oracle, tuple ordering).
+# Formula and oracle are attribute names, looked up on their modules at
+# call time; the parameters are also the formula's positional arguments.
+_FUNCTIONS = {
+    "f": (("set",), (counting, "f"), "brute_f", None),
+    "fk": (("set", "k"), (counting, "f_k"), "brute_f_k", None),
+    "phi": (("set", "n"), (counting, "phi"), "brute_phi", None),
+    "phik": (("set", "n", "k"), (counting, "phi_k"), "brute_phi_k", None),
+    "S": (("n", "k", "m"), (shonhiwa, "s_count"), "brute_tuples", "ordered"),
+    "G": (("n", "k"), (shonhiwa, "g_count"), "brute_tuples", "ordered"),
+    "L": (("n", "k", "m"), (shonhiwa, "l_count"), "brute_tuples", "nondecreasing"),
+    "H": (("n", "k"), (shonhiwa, "h_count"), "brute_tuples", "nondecreasing"),
+    "T": (("n", "k", "m"), (shonhiwa, "t_count"), "brute_tuples", "strict"),
 }
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)")
@@ -113,17 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", parents=[params, budgets, output],
                            help="evaluate one counting function")
-    count.add_argument("function", choices=sorted(_ARITY))
+    count.add_argument("function", choices=sorted(_FUNCTIONS))
     count.add_argument("--verify", action="store_true",
                        help="also recount with the brute-force oracle")
 
     verify = sub.add_parser("verify", parents=[params, budgets, output],
                             help="evaluate and compare against the oracle")
-    verify.add_argument("function", choices=sorted(_ARITY))
+    verify.add_argument("function", choices=sorted(_FUNCTIONS))
 
     seq = sub.add_parser("seq", parents=[output],
                          help="emit a function's values for n in a range")
-    seq.add_argument("function", choices=sorted(_ARITY))
+    seq.add_argument("function", choices=sorted(_FUNCTIONS))
     seq.add_argument("range", metavar="RANGE", help="sweep of n, e.g. 1..10")
     seq.add_argument("--k", type=_flag_int, help="fixed tuple or subset size")
     seq.add_argument("--m", type=_flag_int, help="fixed coprimality modulus")
@@ -148,7 +146,7 @@ def _run_query(args, verify: bool) -> int:
     config = _load_config(args.config)
     fmt = _resolve_format(args, config)
     name = args.function
-    needs = _ARITY[name]
+    needs = _FUNCTIONS[name][0]
 
     set_union = None
     if "set" in needs:
@@ -164,12 +162,13 @@ def _run_query(args, verify: bool) -> int:
         if flag not in needs and given is not None:
             raise _UsageError(f"{name} does not take --{flag}")
 
+    values = {"set": set_union, "n": args.n, "k": args.k, "m": args.m}
     started = time.perf_counter()
-    value = _evaluate(name, set_union, args.n, args.k, args.m)
+    value = _formula(name, values)
     verified = None
     if verify:
         budget = _resolve_budget(args, config)
-        verified = _oracle_value(name, set_union, args.n, args.k, args.m, budget) == value
+        verified = _oracle(name, values, budget) == value
     elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
 
     record = _record(name, args.set_spec, args.n, args.k, args.m,
@@ -200,7 +199,8 @@ def _run_seq(args) -> int:
     if lo > hi:
         raise _UsageError(f"empty range {args.range!r}")
 
-    fixed = [flag for flag in ("k", "m") if flag in _ARITY[name]]
+    params = _FUNCTIONS[name][0]
+    fixed = [flag for flag in ("k", "m") if flag in params]
     for flag in fixed:
         if getattr(args, flag) is None:
             raise _UsageError(f"seq {name} requires --{flag}")
@@ -210,9 +210,10 @@ def _run_seq(args) -> int:
 
     for n in range(lo, hi + 1):
         started = time.perf_counter()
-        value = _evaluate_seq(name, n, args.k, args.m)
+        one_to_n = validate_union([interval(1, n)]) if "set" in params else None
+        value = _formula(name, {"set": one_to_n, "n": n, "k": args.k, "m": args.m})
         elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
-        spec = f"1..{n}" if "set" in _ARITY[name] else None
+        spec = f"1..{n}" if "set" in params else None
         record = _record(name, spec, n, args.k, args.m, value, None, elapsed_ms)
         _emit(record, fmt)
         if args.check_mod3 and n >= 3 and value % 3 != 0:
@@ -222,44 +223,18 @@ def _run_seq(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(name, set_union, n, k, m):
-    if name == "f":
-        return counting.f(set_union)
-    if name == "fk":
-        return counting.f_k(set_union, k)
-    if name == "phi":
-        return counting.phi(set_union, n)
-    if name == "phik":
-        return counting.phi_k(set_union, n, k)
-    if name == "S":
-        return shonhiwa.s_count(n, k, m)
-    if name == "G":
-        return shonhiwa.g_count(n, k)
-    if name == "L":
-        return shonhiwa.l_count(n, k, m)
-    if name == "H":
-        return shonhiwa.h_count(n, k)
-    return shonhiwa.t_count(n, k, m)
+def _formula(name, values):
+    params, (module, attr), _, _ = _FUNCTIONS[name]
+    return getattr(module, attr)(*[values[p] for p in params])
 
 
-def _evaluate_seq(name, n, k, m):
-    if name in ("f", "fk", "phi", "phik"):
-        one_to_n = validate_union([interval(1, n)])
-        return _evaluate(name, one_to_n, n, k, m)
-    return _evaluate(name, None, n, k, m)
-
-
-def _oracle_value(name, set_union, n, k, m, budget):
-    if name == "f":
-        return oracle.brute_f(set_union, budget)
-    if name == "fk":
-        return oracle.brute_f_k(set_union, k, budget)
-    if name == "phi":
-        return oracle.brute_phi(set_union, n, budget)
-    if name == "phik":
-        return oracle.brute_phi_k(set_union, n, k, budget)
-    fold = m if name in ("S", "L", "T") else None
-    return oracle.brute_tuples(n, k, fold, _TUPLE_ORDERING[name], budget)
+def _oracle(name, values, budget):
+    params, _, attr, ordering = _FUNCTIONS[name]
+    if ordering is None:
+        args = [values[p] for p in params]
+    else:
+        args = [values["n"], values["k"], values["m"], ordering]
+    return getattr(oracle, attr)(*args, budget)
 
 
 def _record(function, spec, n, k, m, result, verified, elapsed_ms):

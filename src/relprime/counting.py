@@ -1,36 +1,38 @@
-"""Möbius-sum counters for relatively prime subsets of a progression union.
+"""The Möbius-sum core, and the four subset counters built on it.
 
-The four counters share one summation core: walk the relevant divisors d,
-weight the per-divisor subset count by mu(d), and accumulate positive and
-negative contributions separately so the final subtraction can insist the
-result is a genuine count.
+Every count in the package is one sum: mu(d) * weight(|X_d|) over a
+stream of squarefree d.  divisor_terms yields that stream: the
+squarefree divisors of the modulus when there is one, otherwise every
+squarefree d up to the bound, walked lazily off the sieve table.  The
+kernel |X_d| is the set model's union_multiples for the subset counters
+here and floor(n/d) for the tuple counters in shonhiwa.  The weight
+depends on |X_d| alone: 2^e - 1, C(e, k), e^k or C(e + k - 1, k).
+mobius_sum accumulates positive and negative contributions separately
+so the final subtraction can insist the result is a genuine count.
 """
 
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, check_positive
 from .numtheory import moebius_sieve, squarefree_divisor_terms
 from .setmodel import ProgressionUnion, interval, union_multiples, validate_union
 
-# counting results are plain Python ints: exact at any size
-Count = int
 
-
-def binomial(n: int, k: int) -> Count:
+def binomial(n: int, k: int) -> int:
     """Exact C(n, k); zero when k exceeds n."""
     if n < 0 or k < 0:
         raise DomainError(f"binomial arguments must be nonnegative, got {n}, {k}")
     return comb(n, k)
 
 
-def power_of_two_minus_one(e: int) -> Count:
+def power_of_two_minus_one(e: int) -> int:
     """Exact 2^e - 1, the number of nonempty subsets of an e-element set."""
     if e < 0:
         raise DomainError(f"exponent must be nonnegative, got {e}")
     return (1 << e) - 1
 
 
-def mobius_sum(terms) -> Count:
+def mobius_sum(terms) -> int:
     """Fold (mu, value) pairs into an exact nonnegative total.
 
     A negative final value would mean a formula or kernel bug, never a
@@ -50,7 +52,32 @@ def mobius_sum(terms) -> Count:
     return total
 
 
-def phi_k(X: ProgressionUnion, n: int, k: int) -> Count:
+def divisor_terms(modulus, bound: int):
+    """Pairs (d, mu(d)) over squarefree d <= bound, ascending.
+
+    With modulus None every squarefree d qualifies; otherwise only the
+    divisors of the modulus.  Callers pick the bound so that the terms
+    past it would contribute zero.
+    """
+    if modulus is None:
+        return moebius_sieve(bound).nonzero_terms()
+    return squarefree_divisor_terms(modulus, bound)
+
+
+def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
+    """Sum of mu(d) * weight(|X_d|); d beyond max X has |X_d| = 0."""
+    return mobius_sum(
+        (mu, weight(union_multiples(X, d)))
+        for d, mu in divisor_terms(modulus, X.max_element)
+    )
+
+
+def tuple_sum(n: int, modulus, weight) -> int:
+    """Sum of mu(d) * weight(floor(n/d)); d beyond n has floor(n/d) = 0."""
+    return mobius_sum((mu, weight(n // d)) for d, mu in divisor_terms(modulus, n))
+
+
+def phi_k(X: ProgressionUnion, n: int, k: int) -> int:
     """Count k-element subsets of X relatively prime to n.
 
     Sums mu(d) * C(|X_d|, k) over squarefree divisors d of n.  Divisors
@@ -58,15 +85,11 @@ def phi_k(X: ProgressionUnion, n: int, k: int) -> Count:
     what keeps factorial-sized moduli (or their primorial stand-ins)
     tractable.
     """
-    _check_modulus(n)
-    _check_cardinality(k)
-    return mobius_sum(
-        (mu, binomial(union_multiples(X, d), k))
-        for d, mu in squarefree_divisor_terms(n, X.max_element)
-    )
+    check_positive(modulus=n, cardinality=k)
+    return subset_sum(X, n, lambda e: binomial(e, k))
 
 
-def phi(X: ProgressionUnion, n: int) -> Count:
+def phi(X: ProgressionUnion, n: int) -> int:
     """Count nonempty subsets of X relatively prime to n.
 
     Sums mu(d) * (2^|X_d| - 1) over squarefree divisors d of n up to
@@ -74,42 +97,33 @@ def phi(X: ProgressionUnion, n: int) -> Count:
     have |X_d| = 0.  For n > 1 the same walk also equals the plain
     mu(d) * 2^|X_d| sum over all divisors, whose -1 terms cancel.
     """
-    _check_modulus(n)
-    return mobius_sum(
-        (mu, power_of_two_minus_one(union_multiples(X, d)))
-        for d, mu in squarefree_divisor_terms(n, X.max_element)
-    )
+    check_positive(modulus=n)
+    return subset_sum(X, n, power_of_two_minus_one)
 
 
-def f_k(X: ProgressionUnion, k: int) -> Count:
+def f_k(X: ProgressionUnion, k: int) -> int:
     """Count relatively prime k-element subsets of X.
 
     Sums mu(d) * C(|X_d|, k) over all squarefree d up to max X.
     """
-    _check_cardinality(k)
-    return mobius_sum(
-        (mu, binomial(union_multiples(X, d), k))
-        for d, mu in moebius_sieve(X.max_element).nonzero_terms()
-    )
+    check_positive(cardinality=k)
+    return subset_sum(X, None, lambda e: binomial(e, k))
 
 
-def f(X: ProgressionUnion) -> Count:
+def f(X: ProgressionUnion) -> int:
     """Count relatively prime nonempty subsets of X.
 
     Sums mu(d) * (2^|X_d| - 1) over all squarefree d up to max X.
     """
-    return mobius_sum(
-        (mu, power_of_two_minus_one(union_multiples(X, d)))
-        for d, mu in moebius_sieve(X.max_element).nonzero_terms()
-    )
+    return subset_sum(X, None, power_of_two_minus_one)
 
 
-def nathanson_f(n: int) -> Count:
+def nathanson_f(n: int) -> int:
     """f([1, n]): relatively prime nonempty subsets of the first n integers."""
     return f(_one_to(n))
 
 
-def nathanson_phi(n: int) -> Count:
+def nathanson_phi(n: int) -> int:
     """Phi([1, n], n): nonempty subsets of [1, n] relatively prime to n itself.
 
     The literature writes this sequence with the modulus left implicit;
@@ -120,16 +134,5 @@ def nathanson_phi(n: int) -> Count:
 
 
 def _one_to(n: int) -> ProgressionUnion:
-    if n < 1:
-        raise DomainError(f"sequence index must be a positive integer, got {n}")
+    check_positive(**{"sequence index": n})
     return validate_union([interval(1, n)])
-
-
-def _check_modulus(n: int):
-    if n < 1:
-        raise DomainError(f"modulus must be a positive integer, got {n}")
-
-
-def _check_cardinality(k: int):
-    if k < 1:
-        raise DomainError(f"cardinality must be a positive integer, got {k}")

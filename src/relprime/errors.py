@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the positive-integer check, shared across the package."""
 
 
 class DomainError(ValueError):
@@ -23,3 +23,10 @@ class OverlapError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A brute-force enumeration would exceed the configured budget."""
+
+
+def check_positive(**params):
+    """Raise DomainError for the first keyword whose value is below 1."""
+    for name, value in params.items():
+        if value < 1:
+            raise DomainError(f"{name} must be a positive integer, got {value}")

@@ -1,14 +1,15 @@
 """Möbius function, divisor enumeration, and small factoring utilities.
 
 Everything works on plain Python integers so results stay exact at any
-size.  The sieve is the only array-backed piece; it delegates to the
-backend kernels and converts to Python ints once, on construction, so
-table entries never leak fixed-width scalars into big-integer sums.
+size.  The sieve is the only array-backed piece; it runs the numpy
+kernel and converts to Python ints once, on construction, so table
+entries never leak fixed-width scalars into big-integer sums.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from operator import itemgetter
 
 from . import _kernels
 from .errors import DomainError
@@ -31,19 +32,9 @@ class MoebiusTable:
         return self.values[d]
 
     def nonzero_terms(self):
-        """Yield (d, mu(d)) for squarefree d in ascending order."""
-        for d in range(1, self.limit + 1):
-            mu = self.values[d]
-            if mu:
-                yield d, mu
-
-
-@dataclass(frozen=True)
-class DivisorList:
-    """Every divisor of a modulus in ascending order, paired with its mu."""
-
-    modulus: int
-    entries: tuple
+        """Lazy iterator of (d, mu(d)) over squarefree d, ascending."""
+        # the filler at index 0 is zero, so the filter drops it too
+        return filter(itemgetter(1), enumerate(self.values))
 
 
 @lru_cache(maxsize=8)
@@ -83,8 +74,8 @@ def moebius(n: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
-def divisors_with_mu(n: int) -> DivisorList:
-    """All divisors of n with their mu values, built from the factorization."""
+def divisors_with_mu(n: int) -> tuple:
+    """All (d, mu(d)) pairs over divisors d of n, ascending, from the factorization."""
     entries = [(1, 1)]
     for p, e in factorize(n):
         grown = []
@@ -97,7 +88,7 @@ def divisors_with_mu(n: int) -> DivisorList:
                 grown.append((dp, 0))
         entries = grown
     entries.sort()
-    return DivisorList(n, tuple(entries))
+    return tuple(entries)
 
 
 def squarefree_divisor_terms(n: int, bound: int) -> list:
@@ -118,7 +109,7 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
     if n <= _TRIAL_FACTOR_LIMIT:
         return [
             (d, mu)
-            for d, mu in divisors_with_mu(n).entries
+            for d, mu in divisors_with_mu(n)
             if mu != 0 and d <= cap
         ]
     table = moebius_sieve(cap)
@@ -127,21 +118,6 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
         for d in range(1, cap + 1)
         if table.values[d] != 0 and n % d == 0
     ]
-
-
-def ext_gcd(a: int, b: int) -> tuple:
-    """Extended Euclid: (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def mod_inverse(b: int, d: int) -> int:

@@ -12,7 +12,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, check_positive
 from .setmodel import ProgressionUnion, enumerate_elements
 
 _INT64_SAFE = 2**63 - 1
@@ -59,7 +59,7 @@ def subset_gcd_histogram(X: ProgressionUnion, fold: int = 0, budget=None) -> tup
 
 
 def _subset_histogram_bigint(elements, fold):
-    # same binary-counter walk as the kernels, minus the word-size limits
+    # one binary-counter walk over every subset, free of int64 limits
     counts = [0] * (len(elements) + 1)
     for s in range(1, 1 << len(elements)):
         g = fold
@@ -80,20 +80,20 @@ def brute_f(X: ProgressionUnion, budget=None) -> int:
 
 def brute_f_k(X: ProgressionUnion, k: int, budget=None) -> int:
     """Relatively prime k-element subsets of X."""
-    _check_positive(k=k)
+    check_positive(k=k)
     hist = subset_gcd_histogram(X, 0, budget)
     return hist[k] if k < len(hist) else 0
 
 
 def brute_phi(X: ProgressionUnion, n: int, budget=None) -> int:
     """Subsets of X relatively prime to n."""
-    _check_positive(n=n)
+    check_positive(n=n)
     return sum(subset_gcd_histogram(X, n, budget))
 
 
 def brute_phi_k(X: ProgressionUnion, n: int, k: int, budget=None) -> int:
     """k-element subsets of X relatively prime to n."""
-    _check_positive(n=n, k=k)
+    check_positive(n=n, k=k)
     hist = subset_gcd_histogram(X, n, budget)
     return hist[k] if k < len(hist) else 0
 
@@ -106,9 +106,9 @@ def brute_tuples(n: int, k: int, m=None, ordering: str = "ordered", budget=None)
     the tuple alone).  The tuple space is estimated up front against the
     budget.
     """
-    _check_positive(n=n, k=k)
+    check_positive(n=n, k=k)
     if m is not None:
-        _check_positive(m=m)
+        check_positive(m=m)
     try:
         regime = _ORDERINGS[ordering]
     except KeyError:
@@ -120,10 +120,7 @@ def brute_tuples(n: int, k: int, m=None, ordering: str = "ordered", budget=None)
             f"{space} tuples to enumerate exceeds the budget of "
             f"{budget.max_tuple_space}"
         )
-    fold = 0 if m is None else m
-    if fold <= _INT64_SAFE and n <= _INT64_SAFE:
-        return int(_kernels.tuple_gcd_count(n, k, fold, regime))
-    return _kernels.tuple_count_fallback(n, k, fold, regime)
+    return _kernels.tuple_gcd_count(n, k, 0 if m is None else m, regime)
 
 
 def _tuple_space(n, k, regime):
@@ -132,9 +129,3 @@ def _tuple_space(n, k, regime):
     if regime == _kernels.NONDECREASING:
         return comb(n + k - 1, k)
     return comb(n, k)
-
-
-def _check_positive(**params):
-    for name, value in params.items():
-        if value < 1:
-            raise DomainError(f"{name} must be a positive integer, got {value}")

@@ -1,77 +1,59 @@
 """Constrained coprime tuple counts over [1, n].
 
-Five counters, one template: weight a function of floor(n/d) by mu(d)
-over the divisors that matter.  The modulus variants (S, L, T) walk the
-squarefree divisors of m, where terms with d > n vanish; the
-unconstrained variants (G, H) walk every squarefree d up to n, which is
-the same sum with m replaced by any multiple of all primes up to n.
+Five thin calls into the Möbius-sum core (counting.tuple_sum), whose
+kernel here is floor(n/d), the count of multiples of d in [1, n].  The
+modulus variants (S, L, T) walk the squarefree divisors of m, where
+terms with d > n vanish; the unconstrained variants (G, H) walk every
+squarefree d up to n, which is the same sum with m replaced by any
+multiple of all primes up to n.
 """
 
-from .counting import Count, binomial, mobius_sum
-from .errors import DomainError
-from .numtheory import moebius_sieve, squarefree_divisor_terms
+from .counting import binomial, tuple_sum
+from .errors import check_positive
 
 
-def s_count(n: int, k: int, m: int) -> Count:
+def s_count(n: int, k: int, m: int) -> int:
     """Ordered k-tuples from [1, n] whose gcd together with m is 1.
 
     Sum of mu(d) * floor(n/d)^k over divisors d of m.
     """
-    _check(n=n, k=k, m=m)
-    return mobius_sum(
-        (mu, (n // d) ** k) for d, mu in squarefree_divisor_terms(m, n)
-    )
+    check_positive(n=n, k=k, m=m)
+    return tuple_sum(n, m, lambda q: q**k)
 
 
-def g_count(n: int, k: int) -> Count:
+def g_count(n: int, k: int) -> int:
     """Ordered k-tuples from [1, n] with gcd 1.
 
     Sum of mu(d) * floor(n/d)^k over d up to n.
     """
-    _check(n=n, k=k)
-    return mobius_sum(
-        (mu, (n // d) ** k) for d, mu in moebius_sieve(n).nonzero_terms()
-    )
+    check_positive(n=n, k=k)
+    return tuple_sum(n, None, lambda q: q**k)
 
 
-def l_count(n: int, k: int, m: int) -> Count:
+def l_count(n: int, k: int, m: int) -> int:
     """Nondecreasing k-tuples (multisets) from [1, n] coprime to m.
 
     Sum of mu(d) * C(floor(n/d) + k - 1, k): each term counts selections
     of k values with repetition from the floor(n/d) multiples of d.
     """
-    _check(n=n, k=k, m=m)
-    return mobius_sum(
-        (mu, binomial(n // d + k - 1, k))
-        for d, mu in squarefree_divisor_terms(m, n)
-    )
+    check_positive(n=n, k=k, m=m)
+    return tuple_sum(n, m, lambda q: binomial(q + k - 1, k))
 
 
-def h_count(n: int, k: int) -> Count:
+def h_count(n: int, k: int) -> int:
     """Nondecreasing k-tuples from [1, n] with gcd 1.
 
     Sum of mu(d) * C(floor(n/d) + k - 1, k) over d up to n.
     """
-    _check(n=n, k=k)
-    return mobius_sum(
-        (mu, binomial(n // d + k - 1, k))
-        for d, mu in moebius_sieve(n).nonzero_terms()
-    )
+    check_positive(n=n, k=k)
+    return tuple_sum(n, None, lambda q: binomial(q + k - 1, k))
 
 
-def t_count(n: int, k: int, m: int) -> Count:
+def t_count(n: int, k: int, m: int) -> int:
     """Strictly increasing k-tuples (k-subsets) of [1, n] coprime to m.
 
     Sum of mu(d) * C(floor(n/d), k) over divisors d of m.  k larger than
     n yields 0 by the binomial convention rather than an error.
     """
-    _check(n=n, k=k, m=m)
-    return mobius_sum(
-        (mu, binomial(n // d, k)) for d, mu in squarefree_divisor_terms(m, n)
-    )
-
-
-def _check(**params):
-    for name, value in params.items():
-        if value < 1:
-            raise DomainError(f"{name} must be a positive integer, got {value}")
+    check_positive(n=n, k=k, m=m)
+    return tuple_sum(n, m, lambda q: binomial(q, k))

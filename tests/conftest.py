@@ -1,4 +1,4 @@
-"""Shared fixtures and independent recount helpers for the test suite.
+"""Hypothesis profile and independent recount helpers for the test suite.
 
 The helpers re-derive everything from definitions: element scans,
 itertools recounts, and the floor-and-epsilon formulas from the
@@ -9,13 +9,11 @@ paths are never used to check themselves.
 from itertools import combinations
 from math import gcd
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 from relprime import (
     OverlapError,
     Progression,
-    interval,
     mod_inverse,
     validate_union,
 )
@@ -27,16 +25,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile (or load from cache) the jitted kernels before timed tests."""
-    from relprime import brute_f, brute_tuples, moebius_sieve
-
-    moebius_sieve(10)
-    brute_f(validate_union([interval(1, 4)]))
-    brute_tuples(2, 2)
 
 
 def scan_multiples(p: Progression, d: int) -> int:

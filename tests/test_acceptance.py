@@ -92,7 +92,7 @@ def test_criterion_2_ap_multiple_kernel(capsys):
 def test_criterion_3_moebius_identity(capsys):
     started = time.perf_counter()
     ok = all(
-        sum(mu for _, mu in divisors_with_mu(n).entries) == (1 if n == 1 else 0)
+        sum(mu for _, mu in divisors_with_mu(n)) == (1 if n == 1 else 0)
         for n in range(1, 10_001)
     )
     elapsed = time.perf_counter() - started

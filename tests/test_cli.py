@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import relprime as rp
 from relprime import cli
 
 
@@ -72,6 +73,36 @@ def test_verify_flag_and_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "phi", "--set", "1..18", "--n", "30")
     assert code == 0
     assert json_lines(out)[0]["verified"] is True
+
+
+_SPEC = "1..6 + ap(9,4,3)"
+_X = rp.parse_set_spec(_SPEC)
+
+# function -> (flags, the library call the CLI must agree with)
+_REGISTRY_CASES = {
+    "f": (["--set", _SPEC], lambda: rp.f(_X)),
+    "fk": (["--set", _SPEC, "--k", "3"], lambda: rp.f_k(_X, 3)),
+    "phi": (["--set", _SPEC, "--n", "35"], lambda: rp.phi(_X, 35)),
+    "phik": (["--set", _SPEC, "--n", "35", "--k", "3"], lambda: rp.phi_k(_X, 35, 3)),
+    "S": (["--n", "7", "--k", "3", "--m", "6"], lambda: rp.s_count(7, 3, 6)),
+    "G": (["--n", "7", "--k", "3"], lambda: rp.g_count(7, 3)),
+    "L": (["--n", "7", "--k", "3", "--m", "6"], lambda: rp.l_count(7, 3, 6)),
+    "H": (["--n", "7", "--k", "3"], lambda: rp.h_count(7, 3)),
+    "T": (["--n", "7", "--k", "3", "--m", "6"], lambda: rp.t_count(7, 3, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._FUNCTIONS))
+def test_every_function_counts_and_verifies(capsys, name):
+    flags, library = _REGISTRY_CASES[name]
+    code, out, _ = run(capsys, "count", name, *flags)
+    assert code == 0
+    assert json_lines(out)[0]["result"] == str(library())
+    code, out, _ = run(capsys, "verify", name, *flags)
+    assert code == 0
+    (record,) = json_lines(out)
+    assert record["result"] == str(library())
+    assert record["verified"] is True
 
 
 def test_verify_mismatch_exits_6(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from relprime import (
     DomainError,
     divisors_with_mu,
-    ext_gcd,
     factorize,
     mod_inverse,
     moebius,
@@ -57,16 +56,16 @@ def test_sieve_matches_single_value():
 def test_moebius_identity_over_divisors():
     # sum of mu over the divisors of n picks out n = 1
     for n in range(1, 2001):
-        total = sum(mu for _, mu in divisors_with_mu(n).entries)
+        total = sum(mu for _, mu in divisors_with_mu(n))
         assert total == (1 if n == 1 else 0)
 
 
 def test_divisor_list_structure():
-    assert divisors_with_mu(1).entries == ((1, 1),)
-    assert divisors_with_mu(6).entries == ((1, 1), (2, -1), (3, -1), (6, 1))
+    assert divisors_with_mu(1) == ((1, 1),)
+    assert divisors_with_mu(6) == ((1, 1), (2, -1), (3, -1), (6, 1))
     twelve = divisors_with_mu(12)
-    assert (4, 0) in twelve.entries
-    assert [d for d, _ in twelve.entries] == [1, 2, 3, 4, 6, 12]
+    assert (4, 0) in twelve
+    assert [d for d, _ in twelve] == [1, 2, 3, 4, 6, 12]
 
 
 def test_divisors_reject_zero():
@@ -76,7 +75,7 @@ def test_divisors_reject_zero():
 
 @given(st.integers(min_value=1, max_value=4000))
 def test_divisor_list_invariants(n):
-    entries = divisors_with_mu(n).entries
+    entries = divisors_with_mu(n)
     ds = [d for d, _ in entries]
     assert ds == sorted(ds)
     assert ds[0] == 1 and ds[-1] == n
@@ -114,13 +113,6 @@ def test_mod_inverse_roundtrip(b, d):
         assert (b * x) % d == 1 % d
 
 
-@given(st.integers(min_value=-10**9, max_value=10**9), st.integers(min_value=-10**9, max_value=10**9))
-def test_ext_gcd_identity(a, b):
-    g, x, y = ext_gcd(a, b)
-    assert g == gcd(a, b)
-    assert a * x + b * y == g
-
-
 def test_primes_and_primorial():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -145,7 +137,7 @@ def test_factorial_and_primorial_share_squarefree_divisors():
         fact = factorial(x)
         prim = primorial_up_to(x)
         assert fact % prim == 0
-        for d, mu in divisors_with_mu(prim).entries:
+        for d, mu in divisors_with_mu(prim):
             assert mu != 0  # the primorial is squarefree
             assert fact % d == 0
         for d in range(1, 2001):

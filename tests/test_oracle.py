@@ -1,6 +1,7 @@
 """The brute-force oracle itself, recounted a second independent way."""
 
 import random
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
@@ -17,6 +18,7 @@ from relprime import (
     brute_tuples,
     enumerate_elements,
     interval,
+    moebius,
     parse_set_spec,
     primorial_up_to,
     subset_gcd_histogram,
@@ -140,17 +142,24 @@ def test_oracle_is_deterministic():
     assert brute_tuples(7, 3, 6) == brute_tuples(7, 3, 6)
 
 
-def test_backend_kernels_agree_with_fallbacks():
-    # under the jitted backend this compares two real implementations;
-    # under the numpy backend both names point at the same function
-    assert list(_kernels.moebius_values(300)) == list(_kernels.moebius_fallback(300))
+def test_kernels_agree_with_definitions():
+    # each kernel against a recount from its definition: mu(d) from the
+    # factorization, subsets and tuples from itertools walks
+    assert list(_kernels.moebius_values(300)) == [0] + [
+        moebius(d) for d in range(1, 301)
+    ]
     elements = np.array([4, 6, 9, 10, 15, 25, 49], dtype=np.int64)
     for fold in (0, 1, 6, 30):
-        assert list(_kernels.subset_gcd_counts(elements, fold)) == list(
-            _kernels.subset_counts_fallback(elements, fold)
-        )
-    for regime in (_kernels.ORDERED, _kernels.NONDECREASING, _kernels.STRICT):
+        _, by_k = subsets_recount(elements.tolist(), fold or None)
+        assert list(_kernels.subset_gcd_counts(elements, fold)) == by_k
+    walks = {
+        _kernels.ORDERED: lambda values: product(values, repeat=3),
+        _kernels.NONDECREASING: lambda values: combinations_with_replacement(values, 3),
+        _kernels.STRICT: lambda values: combinations(values, 3),
+    }
+    for regime, walk in walks.items():
         for fold in (0, 6):
-            assert _kernels.tuple_gcd_count(5, 3, fold, regime) == (
-                _kernels.tuple_count_fallback(5, 3, fold, regime)
+            expected = sum(
+                reduce(gcd, entry, fold) == 1 for entry in walk(range(1, 6))
             )
+            assert _kernels.tuple_gcd_count(5, 3, fold, regime) == expected

@@ -11,13 +11,13 @@ from relprime import (
     Progression,
     SetSpecError,
     count_ap_multiples,
-    count_interval_multiples,
     enumerate_elements,
     interval,
     parse_set_spec,
     union_multiples,
     validate_union,
 )
+from relprime.setmodel import count_interval_multiples
 from conftest import coprime_floor_eps_count, floor_eps_count, scan_multiples
 
 progressions = st.builds(
