@@ -1,20 +1,24 @@
 """The Möbius-sum core, and the four subset counters built on it.
 
 Every count in the package is one sum: mu(d) * weight(|X_d|) over a
-stream of squarefree d.  divisor_terms yields that stream: the
-squarefree divisors of the modulus when there is one, otherwise every
-squarefree d up to the bound, walked lazily off the sieve table.  The
-kernel |X_d| is the set model's union_multiples for the subset counters
-here and floor(n/d) for the tuple counters in shonhiwa.  The weight
-depends on |X_d| alone: 2^e - 1, C(e, k), e^k or C(e + k - 1, k).
-mobius_sum accumulates positive and negative contributions separately
-so the final subtraction can insist the result is a genuine count.
+stream of squarefree d.  Every weight vanishes at |X_d| = 0, so only d
+that divide some element of X (and the modulus, when there is one) can
+contribute.  The stream comes from one of three sources: the squarefree
+divisors of the modulus, every squarefree d up to the bound walked
+lazily off the sieve table, or the squarefree divisors of the elements
+themselves.  subset_sum takes the last when factoring every element is
+cheaper than sieving to max X.  The kernel |X_d| is the set model's
+union_multiples for the subset counters here and floor(n/d) for the
+tuple counters in shonhiwa.  The weight depends on |X_d| alone:
+2^e - 1, C(e, k), e^k or C(e + k - 1, k).  mobius_sum accumulates
+positive and negative contributions separately so the final subtraction
+can insist the result is a genuine count.
 """
 
-from math import comb
+from math import comb, gcd, isqrt
 
 from .errors import DomainError, check_positive
-from .numtheory import moebius_sieve, squarefree_divisor_terms
+from .numtheory import moebius_sieve, squarefree_divisor_terms, squarefree_divisors
 from .setmodel import ProgressionUnion, interval, union_multiples, validate_union
 
 
@@ -55,21 +59,45 @@ def mobius_sum(terms) -> int:
 def divisor_terms(modulus, bound: int):
     """Pairs (d, mu(d)) over squarefree d <= bound, ascending.
 
-    With modulus None every squarefree d qualifies; otherwise only the
-    divisors of the modulus.  Callers pick the bound so that the terms
-    past it would contribute zero.
+    The walk for the tuple counters, and for subset sums whose sets are
+    too dense to factor element by element.  With modulus None every
+    squarefree d qualifies, walked lazily off a sieve to the bound;
+    otherwise only the divisors of the modulus.  Callers pick the bound
+    so that the terms past it would contribute zero.
     """
     if modulus is None:
         return moebius_sieve(bound).nonzero_terms()
     return squarefree_divisor_terms(modulus, bound)
 
 
+def element_divisor_terms(X: ProgressionUnion, modulus) -> list:
+    """Pairs (d, mu(d)) over squarefree d dividing gcd(x, modulus) for
+    some x in X, ascending; a modulus of None leaves x itself.
+
+    These are exactly the terms of divisor_terms(modulus, max X) with
+    |X_d| > 0, found by factoring each element instead of sieving.
+    """
+    terms = {}
+    for part in X.parts:
+        for x in part.elements():
+            terms.update(squarefree_divisors(x if modulus is None else gcd(x, modulus)))
+    return sorted(terms.items())
+
+
 def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
-    """Sum of mu(d) * weight(|X_d|); d beyond max X has |X_d| = 0."""
-    return mobius_sum(
-        (mu, weight(union_multiples(X, d)))
-        for d, mu in divisor_terms(modulus, X.max_element)
-    )
+    """Sum of mu(d) * weight(|X_d|) over d that can divide an element.
+
+    Factoring every element by trial division costs at most
+    |X| * sqrt(max X) steps against max X sieve candidates, so the
+    cheaper of the two picks the divisor source; d beyond max X has
+    |X_d| = 0 either way.
+    """
+    top = X.max_element
+    if X.size * isqrt(top) < top:
+        terms = element_divisor_terms(X, modulus)
+    else:
+        terms = divisor_terms(modulus, top)
+    return mobius_sum((mu, weight(union_multiples(X, d))) for d, mu in terms)
 
 
 def tuple_sum(n: int, modulus, weight) -> int:

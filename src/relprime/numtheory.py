@@ -91,6 +91,19 @@ def divisors_with_mu(n: int) -> tuple:
     return tuple(entries)
 
 
+def squarefree_divisors(n: int) -> list:
+    """All (d, mu(d)) pairs over squarefree divisors d of n, ascending.
+
+    Each is a product of a subset of the distinct primes of n, with
+    mu(d) = (-1)^(number of primes); repeated prime powers never enter.
+    """
+    terms = [(1, 1)]
+    for p, _ in factorize(n):
+        terms += [(d * p, -mu) for d, mu in terms]
+    terms.sort()
+    return terms
+
+
 def squarefree_divisor_terms(n: int, bound: int) -> list:
     """Pairs (d, mu(d)) over squarefree divisors d <= bound of n, ascending.
 
@@ -107,11 +120,7 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
     if cap < 1:
         return []
     if n <= _TRIAL_FACTOR_LIMIT:
-        return [
-            (d, mu)
-            for d, mu in divisors_with_mu(n)
-            if mu != 0 and d <= cap
-        ]
+        return [(d, mu) for d, mu in squarefree_divisors(n) if d <= cap]
     table = moebius_sieve(cap)
     return [
         (d, table.values[d])

@@ -174,3 +174,12 @@ def test_squarefree_divisor_terms_huge_modulus():
         if moebius(d) != 0 and all(p <= 200 for p, _ in factorize(d))
     ]
     assert terms == expected
+
+
+def test_squarefree_divisors_are_the_nonzero_divisor_terms():
+    cases = [*range(1, 300), 720, 510510, 2**40, 3**25, 10**12, 999983 * 999979]
+    for n in cases:
+        want = [(d, mu) for d, mu in divisors_with_mu(n) if mu != 0]
+        assert numtheory.squarefree_divisors(n) == want
+    with pytest.raises(DomainError):
+        numtheory.squarefree_divisors(0)
