@@ -277,7 +277,7 @@ def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()

@@ -4,17 +4,22 @@ Every count in the package is one sum: mu(d) * weight(|X_d|) over a
 stream of squarefree d.  Every weight vanishes at |X_d| = 0, so only d
 that divide some element of X (and the modulus, when there is one) can
 contribute.  The stream comes from one of three sources: the squarefree
-divisors of the modulus, every squarefree d up to the bound walked
-lazily off the sieve table, or the squarefree divisors of the elements
-themselves.  subset_sum takes the last when factoring every element is
-cheaper than sieving to max X.  The kernel |X_d| is the set model's
-union_multiples for the subset counters here and floor(n/d) for the
-tuple counters in shonhiwa.  The weight depends on |X_d| alone:
-2^e - 1, C(e, k), e^k or C(e + k - 1, k).  mobius_sum accumulates
-positive and negative contributions separately so the final subtraction
-can insist the result is a genuine count.
+divisors of the modulus (found from its primes up to the bound, so a
+modulus of any size is walked without a sieve), every squarefree d up
+to the bound walked lazily off the sieve table, or the squarefree
+divisors of the elements themselves.  subset_sum takes the last when
+factoring every element is cheaper than sieving to max X.  The kernel
+|X_d| is the set model's union_multiples for the subset counters here
+and floor(n/d) for the tuple counters in shonhiwa.  The weight depends
+on |X_d| alone: 2^e - 1, C(e, k), e^k or C(e + k - 1, k).  The sieve
+walk meets each |X_d| value many times, so it sums mu per distinct
+value first and weighs each value once; the other two sources rarely
+repeat a value and weigh term by term.  mobius_sum accumulates positive
+and negative contributions separately so the final subtraction can
+insist the result is a genuine count.
 """
 
+from collections import defaultdict
 from math import comb, gcd, isqrt
 
 from .errors import DomainError, check_positive
@@ -37,23 +42,46 @@ def power_of_two_minus_one(e: int) -> int:
 
 
 def mobius_sum(terms) -> int:
-    """Fold (mu, value) pairs into an exact nonnegative total.
+    """Fold (coefficient, value) pairs into the exact nonnegative total
+    of coefficient * value.
 
-    A negative final value would mean a formula or kernel bug, never a
-    rounding artifact (there is no floating point anywhere), so it raises
-    instead of returning.
+    A coefficient is mu(d) for a single term, or the sum of mu(d) over
+    every d that shares one value.  A negative final value would mean a
+    formula or kernel bug, never a rounding artifact (there is no
+    floating point anywhere), so it raises instead of returning.
     """
     pos = 0
     neg = 0
-    for mu, value in terms:
-        if mu > 0:
+    for c, value in terms:
+        # single terms carry c = mu(d) and skip a big multiply
+        if c == 1:
             pos += value
-        elif mu < 0:
+        elif c == -1:
             neg += value
+        elif c > 0:
+            pos += c * value
+        elif c < 0:
+            neg -= c * value
     total = pos - neg
     if total < 0:
         raise ArithmeticError(f"Möbius sum collapsed to {total}; counts cannot be negative")
     return total
+
+
+def grouped(kernels, weight):
+    """(coefficient, weight(e)) per distinct e, from (mu, e) pairs.
+
+    The coefficient of e is the sum of mu over its pairs, so mobius_sum
+    of the output equals that of (mu, weight(e)) term by term, with one
+    weight and one big multiply-add per distinct e.  Values whose
+    coefficients cancel to zero are never weighed.
+    """
+    coefficients = defaultdict(int)
+    for mu, e in kernels:
+        coefficients[e] += mu
+    for e, c in coefficients.items():
+        if c:
+            yield c, weight(e)
 
 
 def divisor_terms(modulus, bound: int):
@@ -90,19 +118,28 @@ def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
     Factoring every element by trial division costs at most
     |X| * sqrt(max X) steps against max X sieve candidates, so the
     cheaper of the two picks the divisor source; d beyond max X has
-    |X_d| = 0 either way.
+    |X_d| = 0 either way.  The sieve walk is grouped by |X_d|.
     """
     top = X.max_element
     if X.size * isqrt(top) < top:
         terms = element_divisor_terms(X, modulus)
+    elif modulus is None:
+        kernels = ((mu, union_multiples(X, d)) for d, mu in divisor_terms(None, top))
+        return mobius_sum(grouped(kernels, weight))
     else:
         terms = divisor_terms(modulus, top)
     return mobius_sum((mu, weight(union_multiples(X, d))) for d, mu in terms)
 
 
 def tuple_sum(n: int, modulus, weight) -> int:
-    """Sum of mu(d) * weight(floor(n/d)); d beyond n has floor(n/d) = 0."""
-    return mobius_sum((mu, weight(n // d)) for d, mu in divisor_terms(modulus, n))
+    """Sum of mu(d) * weight(floor(n/d)); d beyond n has floor(n/d) = 0.
+
+    The sieve walk (no modulus) is grouped by floor(n/d).
+    """
+    terms = divisor_terms(modulus, n)
+    if modulus is None:
+        return mobius_sum(grouped(((mu, n // d) for d, mu in terms), weight))
+    return mobius_sum((mu, weight(n // d)) for d, mu in terms)
 
 
 def phi_k(X: ProgressionUnion, n: int, k: int) -> int:

@@ -14,10 +14,6 @@ from operator import itemgetter
 from . import _kernels
 from .errors import DomainError
 
-# above this, divisor walks switch from factoring the modulus to testing
-# candidates up to the relevant bound directly
-_TRIAL_FACTOR_LIMIT = 10**12
-
 
 @dataclass(frozen=True)
 class MoebiusTable:
@@ -97,11 +93,9 @@ def squarefree_divisors(n: int) -> list:
     Each is a product of a subset of the distinct primes of n, with
     mu(d) = (-1)^(number of primes); repeated prime powers never enter.
     """
-    terms = [(1, 1)]
-    for p, _ in factorize(n):
-        terms += [(d * p, -mu) for d, mu in terms]
-    terms.sort()
-    return terms
+    if n < 1:
+        raise DomainError(f"cannot factor {n}; need a positive integer")
+    return _squarefree_products(n, n)
 
 
 def squarefree_divisor_terms(n: int, bound: int) -> list:
@@ -109,24 +103,42 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
 
     Möbius sums over d | n only ever need these terms: non-squarefree
     divisors carry mu = 0, and callers arrange that divisors beyond their
-    bound contribute nothing.  Moduli small enough to factor are expanded
-    directly; for anything larger (primorials, factorial stand-ins) every
-    candidate up to min(n, bound) is tested by divisibility instead, which
-    never touches the far side of n.
+    bound contribute nothing.  Only the primes of n up to min(n, bound)
+    are looked for, by trial division, so a modulus of any size costs at
+    most that many steps; primorials and factorial stand-ins shed their
+    small primes fast and stop once the cofactor is prime.
     """
     if n < 1:
         raise DomainError(f"modulus must be a positive integer, got {n}")
     cap = min(n, bound)
     if cap < 1:
         return []
-    if n <= _TRIAL_FACTOR_LIMIT:
-        return [(d, mu) for d, mu in squarefree_divisors(n) if d <= cap]
-    table = moebius_sieve(cap)
-    return [
-        (d, table.values[d])
-        for d in range(1, cap + 1)
-        if table.values[d] != 0 and n % d == 0
-    ]
+    return _squarefree_products(n, cap)
+
+
+def _squarefree_products(n: int, cap: int) -> list:
+    """(d, mu(d)) over squarefree d | n with d <= cap, ascending.
+
+    Trial division stops once p exceeds cap or p^2 exceeds what is left
+    of n; the leftover is then 1, a prime, or built from primes above cap.
+    """
+    primes = []
+    rest = n
+    p = 2
+    while p <= cap and p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            rest //= p
+            while rest % p == 0:
+                rest //= p
+        p += 1 if p == 2 else 2
+    if 1 < rest <= cap:
+        primes.append(rest)
+    terms = [(1, 1)]
+    for p in primes:
+        terms += [(d * p, -mu) for d, mu in terms if d * p <= cap]
+    terms.sort()
+    return terms
 
 
 def mod_inverse(b: int, d: int) -> int:

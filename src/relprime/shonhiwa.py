@@ -5,7 +5,7 @@ kernel here is floor(n/d), the count of multiples of d in [1, n].  The
 modulus variants (S, L, T) walk the squarefree divisors of m, where
 terms with d > n vanish; the unconstrained variants (G, H) walk every
 squarefree d up to n, which is the same sum with m replaced by any
-multiple of all primes up to n.
+multiple of all primes up to n, and weigh each distinct floor(n/d) once.
 """
 
 from .counting import binomial, tuple_sum

@@ -226,6 +226,12 @@ def test_config_errors(tmp_path, capsys):
     assert "unknown key" in err
     code, _, _ = run(capsys, "count", "f", "--set", "1..4", "--config", str(tmp_path / "missing.conf"))
     assert code == 2
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"output = json\n\xff\xfe\x80\n")
+    code, out, err = run(capsys, "count", "f", "--set", "1..5", "--config", str(binary))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("relprime: cannot read config")
 
 
 def test_seq_records_stream_in_order(capsys):

@@ -154,8 +154,8 @@ def test_primorial_bridge():
 
 
 def test_bridge_survives_unfactorable_modulus():
-    # primorial(200) cannot be factored by trial division in reasonable
-    # time, so this exercises the bounded divisibility walk
+    # primorial(200) is far above 10^12; the modulus walk looks only for
+    # its primes up to max X
     X = parse_set_spec("1..12 + ap(15,5,3)")
     P = primorial_up_to(200)
     assert P > 10**12

@@ -1,14 +1,17 @@
-"""The element divisor source against the sieve and modulus walks.
+"""The three divisor sources against their definitions and each other.
 
 subset_sum factors the elements of small sets instead of sieving to
 max X.  Both sources are called directly here on the same inputs: the
 walk from divisor_terms is the reference wherever it is affordable,
-and the oracle wherever the set is small enough to enumerate.
+and the oracle wherever the set is small enough to enumerate.  The
+modulus source is checked against the definition of its terms, and the
+grouped sieve walk against the per-term sum it replaces.
 """
 
 import json
 import random
 from collections import Counter
+from math import isqrt
 
 import pytest
 
@@ -24,11 +27,15 @@ from relprime import (
     counting,
     f,
     f_k,
+    g_count,
+    h_count,
+    moebius,
     numtheory,
     parse_set_spec,
     phi,
     power_of_two_minus_one,
     primorial_up_to,
+    squarefree_divisor_terms,
     validate_union,
 )
 from relprime.counting import divisor_terms, element_divisor_terms, mobius_sum
@@ -39,7 +46,7 @@ SMALL_PRIMORIAL = primorial_up_to(13)  # 30030
 BIG_PRIMORIAL = primorial_up_to(50)  # about 6.1 * 10^17
 MODULI = (None, 1, SMALL_PRIMORIAL, BIG_PRIMORIAL)
 
-# the walk sieves to max X unless there is a modulus small enough to factor
+# with no modulus the walk sieves to max X
 REFERENCE_SIEVE_LIMIT = 2 * 10**6
 ORACLE_SIZE_LIMIT = 22
 
@@ -88,7 +95,7 @@ def test_element_source_agrees_with_walk_and_oracle(modulus):
     for X in agreement_sets():
         terms = element_divisor_terms(X, modulus)
         walk = None
-        sieves = modulus is None or modulus > numtheory._TRIAL_FACTOR_LIMIT
+        sieves = modulus is None
         if not sieves or X.max_element <= REFERENCE_SIEVE_LIMIT:
             walk = [
                 (d, mu, union_multiples(X, d))
@@ -151,3 +158,89 @@ def test_cli_verifies_a_set_with_huge_elements(capsys):
     assert code == 0
     assert record["verified"] is True
     assert record["result"] == "3"
+
+
+def squarefree_terms_by_definition(n, bound):
+    """(d, mu(d)) over d <= min(n, bound) with d | n and mu(d) != 0."""
+    return [
+        (d, moebius(d))
+        for d in range(1, min(n, bound) + 1)
+        if n % d == 0 and moebius(d) != 0
+    ]
+
+
+def test_modulus_terms_match_definition_without_sieving(monkeypatch):
+    refuse_sieve(monkeypatch)
+    big_prime = 1000000000039
+    primorial_43 = primorial_up_to(43)  # about 1.3 * 10^16
+    primorial_200 = primorial_up_to(200)
+    smooth = 2**45 * 3**20
+    assert min(primorial_43, primorial_200, smooth, big_prime) > 10**12
+    cases = [
+        *[(primorial_43, bound) for bound in (1, 2, 30, 42, 43, 44, 5000)],
+        *[(primorial_200, bound) for bound in (30, 199, 200, 3000)],
+        *[(smooth, bound) for bound in (1, 2, 5, 6, 10**4)],
+        (big_prime, 10**4),
+        (30030 * 1000003, 10**4),
+        (30030 * 1000003, 30030),
+        (720, 720),
+        (720, 10**6),
+        (97, 97),
+        (1, 1),
+        (1, 10),
+    ]
+    for n, bound in cases:
+        assert squarefree_divisor_terms(n, bound) == squarefree_terms_by_definition(n, bound), (n, bound)
+    # bounds at or past moduli too large to scan up to
+    assert squarefree_divisor_terms(smooth, smooth) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+    assert squarefree_divisor_terms(big_prime, big_prime) == [(1, 1), (big_prime, -1)]
+    assert squarefree_divisor_terms(big_prime, 10 * big_prime) == [(1, 1), (big_prime, -1)]
+    assert squarefree_divisor_terms(30030 * 1000003, 10**9) == squarefree_terms_by_definition(
+        30030, 30030
+    ) + [(d * 1000003, -mu) for d, mu in squarefree_terms_by_definition(30030, 999)]
+    assert squarefree_divisor_terms(primorial_43, 0) == []
+
+
+def direct_subset_sum(X, weight):
+    """The per-term sieve walk that subset_sum groups by |X_d|."""
+    terms = divisor_terms(None, X.max_element)
+    return mobius_sum((mu, weight(union_multiples(X, d))) for d, mu in terms)
+
+
+def direct_tuple_sum(n, weight):
+    """The per-term sieve walk that tuple_sum groups by floor(n/d)."""
+    return mobius_sum((mu, weight(n // d)) for d, mu in divisor_terms(None, n))
+
+
+def walked_sets():
+    """Random unions dense enough that subset_sum takes the sieve walk."""
+    rng = random.Random(8861)
+    sets = []
+    while len(sets) < 20:
+        X = random_union(rng, size_cap=60, max_first=12, max_step=3)
+        if X.size * isqrt(X.max_element) >= X.max_element:
+            sets.append(X)
+    return sets
+
+
+def test_grouped_walk_equals_direct_sum_on_random_unions():
+    for X in walked_sets():
+        assert f(X) == direct_subset_sum(X, power_of_two_minus_one), str(X)
+        for k in range(1, X.size + 2):
+            assert f_k(X, k) == direct_subset_sum(X, lambda e: binomial(e, k)), (str(X), k)
+
+
+def test_grouped_walk_equals_direct_sum_on_a_wide_interval():
+    X = parse_set_spec("1..30000")
+    total = f(X)
+    assert total.bit_length() == 30000
+    assert total == direct_subset_sum(X, power_of_two_minus_one)
+    for k in (1, 2, 5, 100, 29999, 30000, 30001):
+        assert f_k(X, k) == direct_subset_sum(X, lambda e: binomial(e, k)), k
+
+
+def test_grouped_walk_equals_direct_sum_for_tuples():
+    for n in (1, 2, 3, 10, 97, 1000, 12345, 20000):
+        for k in range(1, 5):
+            assert g_count(n, k) == direct_tuple_sum(n, lambda q: q**k), (n, k)
+            assert h_count(n, k) == direct_tuple_sum(n, lambda q: binomial(q + k - 1, k)), (n, k)

@@ -103,8 +103,8 @@ def test_primorial_bridges():
 
 
 def test_huge_modulus_walk():
-    # primorial(50) is far beyond the trial-factoring limit, yet every
-    # squarefree d <= n divides it, so S collapses to G
+    # primorial(50) is far above 10^12, yet every squarefree d <= n
+    # divides it, so S collapses to G
     P = primorial_up_to(50)
     assert P > 10**12
     for n in (10, 25, 50):
