@@ -1,14 +1,17 @@
 """Hot enumeration loops: the Möbius sieve, the subset gcd histogram and
 the tuple walks.
 
-The sieve and the subset pass are vectorized numpy; the tuple walks are
-itertools over plain Python ints, so they are exact at any size.  Every
-function returns the same integers its definition does, and the formula
-paths never touch these arrays except through the sieve table, which
-numtheory converts to Python ints once.
+All three are vectorized numpy.  The two oracle kernels still visit
+every subset and every tuple and take its gcd directly, but in blocks of
+fixed size: the subset pass folds 2^12-entry gcd tables against each
+other, and the tuple walk grows prefix arrays of at most 2^16 entries.
+So their memory stays bounded whatever the budget, while their time
+still grows with 2^|X| and with the tuple space.  Every function returns
+the same integers its definition does, and the formula paths never touch
+these arrays except through the sieve table, which numtheory converts to
+Python ints once.
 """
 
-import itertools
 from math import gcd
 
 import numpy as np
@@ -16,6 +19,12 @@ import numpy as np
 BACKEND = "numpy"
 
 ORDERED, NONDECREASING, STRICT = 0, 1, 2
+
+# the subset pass works on tables of 2^_SUBSET_BLOCK_BITS entries, the
+# tuple walk on prefix arrays of at most _TUPLE_BLOCK entries
+_SUBSET_BLOCK_BITS = 12
+_TUPLE_BLOCK = 1 << 16
+INT64_MAX = 2**63 - 1
 
 
 def moebius_values(limit: int) -> np.ndarray:
@@ -32,42 +41,140 @@ def moebius_values(limit: int) -> np.ndarray:
     return mu
 
 
-def subset_gcd_counts(elements: np.ndarray, fold: int) -> np.ndarray:
+def subset_gcd_counts(elements, fold: int) -> np.ndarray:
     """counts[c] = number of c-element subsets with gcd(subset, fold) == 1.
 
-    Subset index s selects element i exactly when bit i of s is set.  The
-    gcd array is grown one element at a time, so entry s of the final array
-    is the left-fold gcd over the selected elements seeded with ``fold``
-    (fold = 0 leaves the plain gcd of the subset).  Callers keep fold and
-    the elements within int64.
+    Every subset is the union of a low part, drawn from the first
+    _SUBSET_BLOCK_BITS elements, and a high part, drawn from the rest.
+    The gcd table of the low parts is built once; the high parts are
+    walked in blocks of the same size seeded with ``fold``, and each high
+    gcd h is folded against the whole low table: h == 1 counts every low
+    part, any other h those with gcd(low, h) == 1 (h == 0, from fold 0
+    and an empty high part, leaves gcd(low, 0) = low).  fold = 0 leaves
+    the plain gcd of the subset.  Accepts a list or an array; callers
+    keep fold and the elements within int64.
     """
-    g = np.array([fold], dtype=np.int64)
-    size = np.array([0], dtype=np.int64)
-    for v in elements:
-        g = np.concatenate([g, np.gcd(g, np.int64(v))])
-        size = np.concatenate([size, size + 1])
-    counts = np.bincount(size[g == 1], minlength=len(elements) + 1)
-    counts = counts.astype(np.int64)
+    values = [int(v) for v in elements]
+    low, high = values[:_SUBSET_BLOCK_BITS], values[_SUBSET_BLOCK_BITS:]
+    low_gcd, low_size = _gcd_table(low)
+    width = len(low) + 1
+    every = np.bincount(low_size, minlength=width)
+    counts = np.zeros(len(values) + 1, dtype=np.int64)
+    for high_gcd, high_size in _subset_blocks(high, fold):
+        for h, offset in zip(high_gcd.tolist(), high_size.tolist()):
+            if h == 1:
+                hist = every
+            else:
+                hist = np.bincount(
+                    low_size[np.gcd(low_gcd, h) == 1], minlength=width
+                )
+            counts[offset : offset + width] += hist
     counts[0] = 0  # the empty subset is never counted
     return counts
 
 
-def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
-    """Count k-tuples over [1, n] in one ordering regime with gcd == 1."""
-    values = range(1, n + 1)
-    if regime == ORDERED:
-        walk = itertools.product(values, repeat=k)
-    elif regime == NONDECREASING:
-        walk = itertools.combinations_with_replacement(values, k)
+def _gcd_table(values):
+    # doubling pass: entry s is the gcd of the values selected by bit s
+    table = np.zeros(1, dtype=np.int64)
+    size = np.zeros(1, dtype=np.intp)
+    for v in values:
+        table = np.concatenate([table, np.gcd(table, np.int64(v))])
+        size = np.concatenate([size, size + 1])
+    return table, size
+
+
+def _subset_blocks(values, fold):
+    # (gcd, size) blocks over every subset of values, each gcd folded with
+    # fold: the last _SUBSET_BLOCK_BITS values form one table, folded with
+    # every gcd of the subsets of the values before them
+    split = max(len(values) - _SUBSET_BLOCK_BITS, 0)
+    table, size = _gcd_table(values[split:])
+    if split:
+        outer = _subset_blocks(values[:split], fold)
     else:
-        walk = itertools.combinations(values, k)
+        outer = [(np.array([fold], dtype=np.int64), np.zeros(1, dtype=np.intp))]
+    for outer_gcd, outer_size in outer:
+        for g, s in zip(outer_gcd.tolist(), outer_size.tolist()):
+            yield np.gcd(table, np.int64(g)), size + s
+
+
+def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
+    """Count k-tuples over [1, n] in one ordering regime with gcd == 1.
+
+    The gcd is taken over the tuple's values and ``fold``; fold = 0 adds
+    nothing.  A fold beyond int64 is tested with exact Python gcd.
+    """
     total = 0
-    for entry in walk:
-        g = fold
-        for v in entry:
-            if g == 1:
-                break
-            g = gcd(g, v)
-        if g == 1:
-            total += 1
+    for g in _tuple_gcd_blocks(n, k, regime):
+        if fold == 0:
+            total += int(np.count_nonzero(g == 1))
+        elif fold <= INT64_MAX:
+            total += int(np.count_nonzero(np.gcd(g, np.int64(fold)) == 1))
+        else:
+            distinct, counts = np.unique(g, return_counts=True)
+            total += sum(
+                c for v, c in zip(distinct.tolist(), counts.tolist())
+                if gcd(v, fold) == 1
+            )
     return total
+
+
+def _tuple_gcd_blocks(n, k, regime):
+    """Yield the gcds of every k-tuple over [1, n], block by block.
+
+    A block is a pair of prefix arrays, (gcd so far, last value), that
+    grows one position at a time.  An extension that would pass
+    _TUPLE_BLOCK entries is split instead: a stack of generators hands
+    out the halves of the prefix array, or the value windows of a single
+    prefix.  A block stops early when it empties or when an extension
+    leaves it unchanged, since every later extension would too.
+    """
+    first = 1 if regime == NONDECREASING else 0
+    root = (np.zeros(1, dtype=np.int64), np.array([first], dtype=np.int64), 0)
+    pending = [iter([root])]
+    while pending:
+        block = next(pending[-1], None)
+        if block is None:
+            pending.pop()
+            continue
+        g, last, depth = block
+        while depth < k and len(g):
+            if regime == ORDERED:
+                start = np.ones_like(last)
+            else:
+                start = last if regime == NONDECREASING else last + 1
+            counts = n + 1 - start
+            size = int(counts.sum())
+            if size > _TUPLE_BLOCK:
+                pending.append(_split(g, last, depth, counts, int(start[0]), n))
+                break
+            offsets = np.cumsum(counts) - counts
+            values = np.repeat(start - offsets, counts) + np.arange(size)
+            grown = np.gcd(np.repeat(g, counts), values)
+            if np.array_equal(grown, g) and np.array_equal(values, last):
+                depth = k  # a fixed point: the later positions change nothing
+            else:
+                g, last, depth = grown, values, depth + 1
+        else:
+            if len(g):
+                yield g
+
+
+def _split(g, last, depth, counts, lo, n):
+    # halve a prefix array by the size of its extension, or walk a single
+    # prefix's next values (from lo on) a window at a time
+    if len(g) > 1:
+        # the pending half is a copy, so the parent arrays can be freed
+        cut = int(np.searchsorted(np.cumsum(counts), counts.sum() // 2, "right"))
+        cut = min(max(cut, 1), len(g) - 1)
+        halves = [
+            (g[cut:].copy(), last[cut:].copy(), depth),
+            (g[:cut], last[:cut], depth),
+        ]
+        del g, last, counts
+        while halves:
+            yield halves.pop()
+        return
+    for lo in range(lo, n + 1, _TUPLE_BLOCK):
+        values = np.arange(lo, min(lo + _TUPLE_BLOCK, n + 1), dtype=np.int64)
+        yield np.gcd(g[0], values), values, depth + 1

@@ -9,7 +9,8 @@ Records go to stdout as JSON lines (one object per query) or, with
 strings so arbitrarily large values survive 64-bit JSON parsers.
 
 Exit codes: 0 success, 2 usage or parse error, 3 overlapping union,
-4 oracle budget exceeded, 5 failed sequence check, 6 verify mismatch.
+4 oracle budget exceeded or out of memory, 5 failed sequence check,
+6 verify mismatch, 130 interrupted.
 """
 
 import argparse
@@ -31,6 +32,7 @@ EXIT_OVERLAP = 3
 EXIT_BUDGET = 4
 EXIT_CHECK_FAILED = 5
 EXIT_VERIFY_MISMATCH = 6
+EXIT_INTERRUPTED = 130
 
 ENV_BUDGET_SUBSETS = "RELPRIME_BUDGET_SUBSETS"
 
@@ -80,6 +82,13 @@ def main(argv=None) -> int:
     except _CheckFailed as exc:
         print(f"relprime: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except MemoryError:
+        print("relprime: out of memory; try a smaller set, range or budget",
+              file=sys.stderr)
+        return EXIT_BUDGET
+    except KeyboardInterrupt:
+        print("relprime: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,20 +2,19 @@
 
 Everything here recounts from the definitions so the formula modules can
 be checked against genuinely independent code; the only shared pieces are
-gcd itself and the set model's element enumeration.  Budgets stop runaway
+gcd itself and the set model's element enumeration.  The enumerations run
+in the blocked kernels of _kernels: every subset and every tuple is still
+visited and its gcd taken, but memory stays within a fixed block size
+whatever the budget.  Budgets bound the time instead, stopping runaway
 enumerations before they start.
 """
 
 from dataclasses import dataclass
 from math import comb, gcd
 
-import numpy as np
-
 from . import _kernels
 from .errors import BudgetExceededError, DomainError, check_positive
 from .setmodel import ProgressionUnion, enumerate_elements
-
-_INT64_SAFE = 2**63 - 1
 
 _ORDERINGS = {
     "ordered": _kernels.ORDERED,
@@ -50,10 +49,8 @@ def subset_gcd_histogram(X: ProgressionUnion, fold: int = 0, budget=None) -> tup
     if fold < 0:
         raise DomainError(f"fold must be nonnegative, got {fold}")
     elements = enumerate_elements(X)
-    if fold <= _INT64_SAFE and elements[-1] <= _INT64_SAFE and len(elements) < 63:
-        counts = _kernels.subset_gcd_counts(
-            np.asarray(elements, dtype=np.int64), fold
-        )
+    if max(fold, elements[-1]) <= _kernels.INT64_MAX and len(elements) < 63:
+        counts = _kernels.subset_gcd_counts(elements, fold)
         return tuple(int(c) for c in counts)
     return _subset_histogram_bigint(elements, fold)
 

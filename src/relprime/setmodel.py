@@ -97,17 +97,6 @@ def count_ap_multiples(p: Progression, d: int) -> int:
     return (p.length - 1 - x0) // dk + 1
 
 
-def count_interval_multiples(lo: int, hi: int, d: int) -> int:
-    """Multiples of d in [lo, hi] via the floor-difference identity."""
-    if lo < 1:
-        raise DomainError(f"interval must start at 1 or above, got {lo}")
-    if lo > hi:
-        raise DomainError(f"empty interval {lo}..{hi}")
-    if d < 1:
-        raise DomainError(f"divisor must be positive, got {d}")
-    return hi // d - (lo - 1) // d
-
-
 def union_multiples(X: ProgressionUnion, d: int) -> int:
     """Elements of X divisible by d; parts are disjoint, so sums are exact."""
     return sum(count_ap_multiples(p, d) for p in X.parts)

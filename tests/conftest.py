@@ -6,7 +6,8 @@ literature.  None of them call the package's fast paths, so the fast
 paths are never used to check themselves.
 """
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from hypothesis import HealthCheck, settings
@@ -88,6 +89,23 @@ def subsets_recount(elements, n=None):
             if g == 1:
                 by_k[k] += 1
     return sum(by_k), by_k
+
+
+_TUPLE_WALKS = {
+    "ordered": lambda values, k: product(values, repeat=k),
+    "nondecreasing": combinations_with_replacement,
+    "strict": combinations,
+}
+
+
+def tuples_recount(n, k, fold, ordering):
+    """k-tuples over [1, n] in one ordering whose gcd with fold is 1.
+
+    fold = 0 adds nothing to the gcd.  An itertools walk over plain
+    Python ints, so it shares nothing with the package's blocked walk.
+    """
+    walk = _TUPLE_WALKS[ordering](range(1, n + 1), k)
+    return sum(reduce(gcd, entry, fold) == 1 for entry in walk)
 
 
 def random_progression(rng, max_first=40, max_step=12, max_length=12):

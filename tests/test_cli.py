@@ -154,6 +154,25 @@ def test_budget_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        (MemoryError, 4, "relprime: out of memory"),
+        (KeyboardInterrupt, 130, "relprime: interrupted"),
+    ],
+)
+def test_memory_error_and_interrupt_exit_cleanly(capsys, monkeypatch, raised,
+                                                 code, message):
+    def fail(X):
+        raise raised
+
+    monkeypatch.setattr(cli.counting, "f", fail)
+    status, out, err = run(capsys, "count", "f", "--set", "1..4")
+    assert status == code
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_budget_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET_SUBSETS, "3")
     code, _, _ = run(capsys, "verify", "f", "--set", "1..5")

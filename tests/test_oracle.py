@@ -1,8 +1,8 @@
 """The brute-force oracle itself, recounted a second independent way."""
 
 import random
-from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
+import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -17,6 +17,7 @@ from relprime import (
     brute_phi_k,
     brute_tuples,
     enumerate_elements,
+    f,
     interval,
     moebius,
     parse_set_spec,
@@ -25,9 +26,17 @@ from relprime import (
     validate_union,
 )
 from relprime import _kernels
-from conftest import random_union, subsets_recount
+from conftest import random_union, subsets_recount, tuples_recount
 
 import numpy as np
+
+REGIMES = {
+    _kernels.ORDERED: "ordered",
+    _kernels.NONDECREASING: "nondecreasing",
+    _kernels.STRICT: "strict",
+}
+FOLDS = [0, 1, 6, 30030]
+HUGE_MODULI = [2**64 + 1, 3 * 2**70 + 35, 3 * 2**65]
 
 
 def test_brute_subset_examples():
@@ -74,30 +83,15 @@ def test_brute_tuple_examples():
 
 
 def test_brute_tuples_match_itertools():
-    def recount(n, k, m, walk):
-        total = 0
-        for entry in walk:
-            g = 0 if m is None else m
-            for v in entry:
-                g = gcd(g, v)
-            total += g == 1
-        return total
-
     rng = random.Random(777)
     for _ in range(40):
         n = rng.randint(1, 6)
         k = rng.randint(1, 3)
         m = rng.choice([None, 1, 2, 6, 30])
-        values = range(1, n + 1)
-        assert brute_tuples(n, k, m, "ordered") == recount(
-            n, k, m, product(values, repeat=k)
-        )
-        assert brute_tuples(n, k, m, "nondecreasing") == recount(
-            n, k, m, combinations_with_replacement(values, k)
-        )
-        assert brute_tuples(n, k, m, "strict") == recount(
-            n, k, m, combinations(values, k)
-        )
+        for ordering in ("ordered", "nondecreasing", "strict"):
+            assert brute_tuples(n, k, m, ordering) == tuples_recount(
+                n, k, m or 0, ordering
+            )
 
 
 def test_tuple_budget():
@@ -152,14 +146,98 @@ def test_kernels_agree_with_definitions():
     for fold in (0, 1, 6, 30):
         _, by_k = subsets_recount(elements.tolist(), fold or None)
         assert list(_kernels.subset_gcd_counts(elements, fold)) == by_k
-    walks = {
-        _kernels.ORDERED: lambda values: product(values, repeat=3),
-        _kernels.NONDECREASING: lambda values: combinations_with_replacement(values, 3),
-        _kernels.STRICT: lambda values: combinations(values, 3),
-    }
-    for regime, walk in walks.items():
+    for regime, ordering in REGIMES.items():
         for fold in (0, 6):
-            expected = sum(
-                reduce(gcd, entry, fold) == 1 for entry in walk(range(1, 6))
-            )
+            expected = tuples_recount(5, 3, fold, ordering)
             assert _kernels.tuple_gcd_count(5, 3, fold, regime) == expected
+
+
+@pytest.fixture(params=[2, 3])
+def small_blocks(request, monkeypatch):
+    # blocks of 2^2 and 2^3 entries, so every split path of both kernels runs
+    bits = request.param
+    monkeypatch.setattr(_kernels, "_SUBSET_BLOCK_BITS", bits)
+    monkeypatch.setattr(_kernels, "_TUPLE_BLOCK", 1 << bits)
+    return bits
+
+
+def test_subset_kernel_matches_recount_in_small_blocks(small_blocks):
+    rng = random.Random(60 + small_blocks)
+    for trial in range(30):
+        step = rng.choice([1, 2, 6])  # all-even sets never hit gcd 1 early
+        picks = rng.sample(range(1, 60), rng.randint(1, 11))
+        members = sorted(step * v for v in picks)
+        elements = members if trial % 2 else np.array(members, dtype=np.int64)
+        for fold in FOLDS:
+            _, by_k = subsets_recount(members, fold or None)
+            assert list(_kernels.subset_gcd_counts(elements, fold)) == by_k
+
+
+def test_tuple_kernel_matches_recount_in_small_blocks(small_blocks):
+    rng = random.Random(70 + small_blocks)
+    for _ in range(12):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, 4)
+        for regime, ordering in REGIMES.items():
+            for fold in FOLDS + HUGE_MODULI:
+                expected = tuples_recount(n, k, fold, ordering)
+                assert _kernels.tuple_gcd_count(n, k, fold, regime) == expected
+    # one prefix with more next values than a block: value windows
+    for regime, ordering in REGIMES.items():
+        for fold in (0, 6, 2**64 + 1):
+            expected = tuples_recount(30, 2, fold, ordering)
+            assert _kernels.tuple_gcd_count(30, 2, fold, regime) == expected
+
+
+def test_oracle_with_moduli_beyond_int64():
+    rng = random.Random(80)
+    for _ in range(6):
+        X = random_union(rng, size_cap=9)
+        members = enumerate_elements(X)
+        for m in HUGE_MODULI:
+            total, by_k = subsets_recount(members, m)
+            assert brute_phi(X, m) == total
+            assert brute_phi_k(X, m, 2) == (by_k[2] if X.size >= 2 else 0)
+    for m in HUGE_MODULI:
+        for ordering in REGIMES.values():
+            assert brute_tuples(7, 3, m, ordering) == tuples_recount(7, 3, m, ordering)
+
+
+def test_tuple_walk_stops_at_a_fixed_point():
+    # each would take 10^6 extensions without the fixed point
+    started = time.perf_counter()
+    assert brute_tuples(5, 10**6, 6, "strict") == 0
+    assert brute_tuples(1, 10**6) == 1
+    assert brute_tuples(1, 10**6, None, "nondecreasing") == 1
+    assert time.perf_counter() - started < 1.0
+
+
+def test_single_position_walks_value_windows():
+    n = 3 * _kernels._TUPLE_BLOCK + 5
+    for fold in (0, 6, 30030, 2**64 + 1):
+        expected = sum(gcd(v, fold) == 1 for v in range(1, n + 1))
+        for regime in REGIMES:
+            assert _kernels.tuple_gcd_count(n, 1, fold, regime) == expected
+
+
+@pytest.mark.parametrize(
+    "count, expected",
+    [
+        (lambda: brute_f(parse_set_spec("1..26"), OracleBudget(26)),
+         lambda: f(parse_set_spec("1..26"))),
+        (lambda: _kernels.tuple_gcd_count(2, 23, 0, _kernels.ORDERED),
+         lambda: 2**23 - 1),  # every tuple of 1s and 2s but the all-2 one
+    ],
+    ids=["subsets_1..26", "tuples_2^23"],
+)
+def test_oracle_memory_stays_within_a_block(count, expected):
+    # an unblocked subset pass allocates about 2 GiB for 1..26, and an
+    # unsplit prefix array would hold all 2^23 tuples
+    tracemalloc.start()
+    try:
+        value = count()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected()
+    assert peak < 16 * 2**20

@@ -17,7 +17,6 @@ from relprime import (
     union_multiples,
     validate_union,
 )
-from relprime.setmodel import count_interval_multiples
 from conftest import coprime_floor_eps_count, floor_eps_count, scan_multiples
 
 progressions = st.builds(
@@ -89,18 +88,6 @@ def test_no_multiples_beyond_max(p):
     assert count_ap_multiples(p, p.max_element) in (0, 1)
 
 
-def test_count_interval_multiples():
-    assert count_interval_multiples(1, 10, 3) == 3
-    assert count_interval_multiples(4, 4, 4) == 1
-    assert count_interval_multiples(5, 7, 10) == 0
-    with pytest.raises(DomainError):
-        count_interval_multiples(7, 5, 2)
-    with pytest.raises(DomainError):
-        count_interval_multiples(0, 5, 2)
-    with pytest.raises(DomainError):
-        count_interval_multiples(1, 5, 0)
-
-
 @given(
     st.integers(min_value=1, max_value=200),
     st.integers(min_value=0, max_value=100),
@@ -109,7 +96,7 @@ def test_count_interval_multiples():
 def test_interval_equals_step_one_progression(lo, extent, d):
     hi = lo + extent
     p = Progression(lo, 1, extent + 1)
-    assert count_interval_multiples(lo, hi, d) == count_ap_multiples(p, d)
+    assert hi // d - (lo - 1) // d == count_ap_multiples(p, d)
 
 
 def test_union_multiples_examples():
