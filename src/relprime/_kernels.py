@@ -123,11 +123,13 @@ def _tuple_gcd_blocks(n, k, regime):
     """Yield the gcds of every k-tuple over [1, n], block by block.
 
     A block is a pair of prefix arrays, (gcd so far, last value), that
-    grows one position at a time.  An extension that would pass
-    _TUPLE_BLOCK entries is split instead: a stack of generators hands
-    out the halves of the prefix array, or the value windows of a single
-    prefix.  A block stops early when it empties or when an extension
-    leaves it unchanged, since every later extension would too.
+    grows one position at a time.  A strict prefix only takes values that
+    leave room for the larger ones still to come, so prefixes that cannot
+    reach length k drop out at once.  An extension that would pass
+    _TUPLE_BLOCK entries is split instead, into slices of the prefix
+    array or the value windows of a single prefix.  A block stops early
+    when it empties or when an extension leaves it unchanged, since every
+    later extension would too.
     """
     first = 1 if regime == NONDECREASING else 0
     root = (np.zeros(1, dtype=np.int64), np.array([first], dtype=np.int64), 0)
@@ -143,10 +145,11 @@ def _tuple_gcd_blocks(n, k, regime):
                 start = np.ones_like(last)
             else:
                 start = last if regime == NONDECREASING else last + 1
-            counts = n + 1 - start
+            stop = n - (k - depth - 1) if regime == STRICT else n
+            counts = np.maximum(stop + 1 - start, 0)
             size = int(counts.sum())
             if size > _TUPLE_BLOCK:
-                pending.append(_split(g, last, depth, counts, int(start[0]), n))
+                pending.append(_split(g, last, depth, n, int(start[0]), stop))
                 break
             offsets = np.cumsum(counts) - counts
             values = np.repeat(start - offsets, counts) + np.arange(size)
@@ -160,21 +163,15 @@ def _tuple_gcd_blocks(n, k, regime):
                 yield g
 
 
-def _split(g, last, depth, counts, lo, n):
-    # halve a prefix array by the size of its extension, or walk a single
-    # prefix's next values (from lo on) a window at a time
+def _split(g, last, depth, n, lo, hi):
+    # every prefix grows by at most n values, so slices of _TUPLE_BLOCK // n
+    # prefixes fit a block; a single prefix's next values, lo..hi, are
+    # walked a window at a time
     if len(g) > 1:
-        # the pending half is a copy, so the parent arrays can be freed
-        cut = int(np.searchsorted(np.cumsum(counts), counts.sum() // 2, "right"))
-        cut = min(max(cut, 1), len(g) - 1)
-        halves = [
-            (g[cut:].copy(), last[cut:].copy(), depth),
-            (g[:cut], last[:cut], depth),
-        ]
-        del g, last, counts
-        while halves:
-            yield halves.pop()
+        step = max(1, _TUPLE_BLOCK // n)
+        for i in range(0, len(g), step):
+            yield g[i : i + step], last[i : i + step], depth
         return
-    for lo in range(lo, n + 1, _TUPLE_BLOCK):
-        values = np.arange(lo, min(lo + _TUPLE_BLOCK, n + 1), dtype=np.int64)
+    for lo in range(lo, hi + 1, _TUPLE_BLOCK):
+        values = np.arange(lo, min(lo + _TUPLE_BLOCK, hi + 1), dtype=np.int64)
         yield np.gcd(g[0], values), values, depth + 1

@@ -187,6 +187,11 @@ def test_tuple_kernel_matches_recount_in_small_blocks(small_blocks):
         for fold in (0, 6, 2**64 + 1):
             expected = tuples_recount(30, 2, fold, ordering)
             assert _kernels.tuple_gcd_count(30, 2, fold, regime) == expected
+    # strict prefixes near k = n, most of which run out of larger values
+    for n, k in ((8, 6), (9, 9), (10, 7), (30, 29), (6, 7)):
+        for fold in FOLDS:
+            expected = tuples_recount(n, k, fold, "strict")
+            assert _kernels.tuple_gcd_count(n, k, fold, _kernels.STRICT) == expected
 
 
 def test_oracle_with_moduli_beyond_int64():
@@ -204,11 +209,15 @@ def test_oracle_with_moduli_beyond_int64():
 
 
 def test_tuple_walk_stops_at_a_fixed_point():
-    # each would take 10^6 extensions without the fixed point
+    # the first three would take 10^6 extensions without the fixed point;
+    # the strict ones near k = n would walk about 2^n prefixes if those
+    # with too few values left above them were kept
     started = time.perf_counter()
     assert brute_tuples(5, 10**6, 6, "strict") == 0
     assert brute_tuples(1, 10**6) == 1
     assert brute_tuples(1, 10**6, None, "nondecreasing") == 1
+    assert brute_tuples(40, 40, None, "strict") == 1
+    assert brute_tuples(30, 28, 6, "strict") == tuples_recount(30, 28, 6, "strict")
     assert time.perf_counter() - started < 1.0
 
 
