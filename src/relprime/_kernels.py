@@ -1,18 +1,23 @@
-"""Hot enumeration loops: the Möbius sieve, the subset gcd histogram and
-the tuple walks.
+"""Hot array loops: the prime and Möbius sieves, the subset gcd histogram
+and the tuple walks.
 
-All three are vectorized numpy.  The two oracle kernels still visit
-every subset and every tuple and take its gcd directly, but in blocks of
-fixed size: the subset pass folds 2^12-entry gcd tables against each
-other, and the tuple walk grows prefix arrays of at most 2^16 entries.
-So their memory stays bounded whatever the budget, while their time
-still grows with 2^|X| and with the tuple space.  Every function returns
-the same integers its definition does, and the formula paths never touch
-these arrays except through the sieve table, which numtheory converts to
-Python ints once.
+All of them are vectorized numpy, with one implementation each.  The
+prime sieve crosses off multiples of the primes up to the square root
+of its limit, and the Möbius sieve marks mu from the primes it returns.
+The two oracle kernels still visit every subset and every tuple and take
+its gcd directly, but in blocks of fixed size: the subset pass folds
+2^12-entry gcd tables against each other, and the tuple walk grows
+prefix arrays of at most 2^16 entries.  So their memory stays bounded
+whatever the budget, while their time still grows with 2^|X| and with
+the tuple space.  Integers of any size take the same path: gcds that
+fit int64 run on int64 arrays, and past int64 on object arrays of
+Python ints, which np.gcd takes as well.  Every function returns the
+same integers its definition does, and the formula paths never touch
+these arrays except through the sieve tables, which numtheory converts
+to Python ints once.
 """
 
-from math import gcd
+from math import isqrt
 
 import numpy as np
 
@@ -27,15 +32,23 @@ _TUPLE_BLOCK = 1 << 16
 INT64_MAX = 2**63 - 1
 
 
+def primes(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.intp)
+    composite = np.zeros(limit + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite)
+
+
 def moebius_values(limit: int) -> np.ndarray:
     """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    composite = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, limit + 1):
-        if composite[p]:
-            continue
-        composite[p * p :: p] = True
+    for p in primes(limit).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     return mu
@@ -51,16 +64,18 @@ def subset_gcd_counts(elements, fold: int) -> np.ndarray:
     gcd h is folded against the whole low table: h == 1 counts every low
     part, any other h those with gcd(low, h) == 1 (h == 0, from fold 0
     and an empty high part, leaves gcd(low, 0) = low).  fold = 0 leaves
-    the plain gcd of the subset.  Accepts a list or an array; callers
-    keep fold and the elements within int64.
+    the plain gcd of the subset.  Accepts a list or an array of integers
+    of any size: the gcd tables are int64 when fold and every element
+    fit, and object arrays of Python ints otherwise.
     """
     values = [int(v) for v in elements]
+    dtype = np.int64 if max([fold, *values]) <= INT64_MAX else object
     low, high = values[:_SUBSET_BLOCK_BITS], values[_SUBSET_BLOCK_BITS:]
-    low_gcd, low_size = _gcd_table(low)
+    low_gcd, low_size = _gcd_table(low, dtype)
     width = len(low) + 1
     every = np.bincount(low_size, minlength=width)
     counts = np.zeros(len(values) + 1, dtype=np.int64)
-    for high_gcd, high_size in _subset_blocks(high, fold):
+    for high_gcd, high_size in _subset_blocks(high, fold, dtype):
         for h, offset in zip(high_gcd.tolist(), high_size.tolist()):
             if h == 1:
                 hist = every
@@ -73,49 +88,43 @@ def subset_gcd_counts(elements, fold: int) -> np.ndarray:
     return counts
 
 
-def _gcd_table(values):
+def _gcd_table(values, dtype):
     # doubling pass: entry s is the gcd of the values selected by bit s
-    table = np.zeros(1, dtype=np.int64)
+    table = np.zeros(1, dtype=dtype)
     size = np.zeros(1, dtype=np.intp)
     for v in values:
-        table = np.concatenate([table, np.gcd(table, np.int64(v))])
+        table = np.concatenate([table, np.gcd(table, v)])
         size = np.concatenate([size, size + 1])
     return table, size
 
 
-def _subset_blocks(values, fold):
+def _subset_blocks(values, fold, dtype):
     # (gcd, size) blocks over every subset of values, each gcd folded with
     # fold: the last _SUBSET_BLOCK_BITS values form one table, folded with
     # every gcd of the subsets of the values before them
     split = max(len(values) - _SUBSET_BLOCK_BITS, 0)
-    table, size = _gcd_table(values[split:])
+    table, size = _gcd_table(values[split:], dtype)
     if split:
-        outer = _subset_blocks(values[:split], fold)
+        outer = _subset_blocks(values[:split], fold, dtype)
     else:
-        outer = [(np.array([fold], dtype=np.int64), np.zeros(1, dtype=np.intp))]
+        outer = [(np.array([fold], dtype=dtype), np.zeros(1, dtype=np.intp))]
     for outer_gcd, outer_size in outer:
         for g, s in zip(outer_gcd.tolist(), outer_size.tolist()):
-            yield np.gcd(table, np.int64(g)), size + s
+            yield np.gcd(table, g), size + s
 
 
 def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
     """Count k-tuples over [1, n] in one ordering regime with gcd == 1.
 
     The gcd is taken over the tuple's values and ``fold``; fold = 0 adds
-    nothing.  A fold beyond int64 is tested with exact Python gcd.
+    nothing, so those gcds are counted as they are.  Any other fold is
+    applied with np.gcd, on Python ints once it passes int64.
     """
     total = 0
     for g in _tuple_gcd_blocks(n, k, regime):
-        if fold == 0:
-            total += int(np.count_nonzero(g == 1))
-        elif fold <= INT64_MAX:
-            total += int(np.count_nonzero(np.gcd(g, np.int64(fold)) == 1))
-        else:
-            distinct, counts = np.unique(g, return_counts=True)
-            total += sum(
-                c for v, c in zip(distinct.tolist(), counts.tolist())
-                if gcd(v, fold) == 1
-            )
+        if fold:
+            g = np.gcd(g if fold <= INT64_MAX else g.astype(object), fold)
+        total += int(np.count_nonzero(g == 1))
     return total
 
 

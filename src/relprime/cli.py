@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from functools import cache
 from math import isqrt
 
 from . import counting, oracle, shonhiwa
@@ -91,6 +92,7 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
 
 
+@cache  # built once per process; main parses every call with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relprime",

@@ -1,9 +1,11 @@
 """Möbius function, divisor enumeration, and small factoring utilities.
 
 Everything works on plain Python integers so results stay exact at any
-size.  The sieve is the only array-backed piece; it runs the numpy
-kernel and converts to Python ints once, on construction, so table
-entries never leak fixed-width scalars into big-integer sums.
+size.  The prime and Möbius sieves are the only array-backed pieces:
+both run the one numpy prime sieve in _kernels and convert to Python
+ints once, so their entries never leak fixed-width scalars into
+big-integer sums.  Factoring has one trial-division loop,
+_prime_divisors, behind factorize and the squarefree divisor walks.
 """
 
 from dataclasses import dataclass
@@ -47,18 +49,12 @@ def factorize(n: int) -> list:
     if n < 1:
         raise DomainError(f"cannot factor {n}; need a positive integer")
     out = []
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        out.append((rest, 1))
+    for p in _prime_divisors(n, n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
     return out
 
 
@@ -117,10 +113,20 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
 
 
 def _squarefree_products(n: int, cap: int) -> list:
-    """(d, mu(d)) over squarefree d | n with d <= cap, ascending.
+    """(d, mu(d)) over squarefree d | n with d <= cap, ascending."""
+    terms = [(1, 1)]
+    for p in _prime_divisors(n, cap):
+        terms += [(d * p, -mu) for d, mu in terms if d * p <= cap]
+    terms.sort()
+    return terms
+
+
+def _prime_divisors(n: int, cap: int) -> list:
+    """The distinct primes p <= cap dividing n, ascending, by trial division.
 
     Trial division stops once p exceeds cap or p^2 exceeds what is left
     of n; the leftover is then 1, a prime, or built from primes above cap.
+    Exponents are divided out but not counted.
     """
     primes = []
     rest = n
@@ -134,11 +140,7 @@ def _squarefree_products(n: int, cap: int) -> list:
         p += 1 if p == 2 else 2
     if 1 < rest <= cap:
         primes.append(rest)
-    terms = [(1, 1)]
-    for p in primes:
-        terms += [(d * p, -mu) for d, mu in terms if d * p <= cap]
-    terms.sort()
-    return terms
+    return primes
 
 
 def mod_inverse(b: int, d: int) -> int:
@@ -153,16 +155,7 @@ def mod_inverse(b: int, d: int) -> int:
 
 def primes_up_to(x: int) -> list:
     """All primes p <= x."""
-    if x < 2:
-        return []
-    composite = bytearray(x + 1)
-    out = []
-    for p in range(2, x + 1):
-        if not composite[p]:
-            out.append(p)
-            if p * p <= x:
-                composite[p * p :: p] = b"\x01" * ((x - p * p) // p + 1)
-    return out
+    return _kernels.primes(x).tolist()
 
 
 def primorial_up_to(x: int) -> int:

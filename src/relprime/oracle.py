@@ -3,14 +3,14 @@
 Everything here recounts from the definitions so the formula modules can
 be checked against genuinely independent code; the only shared pieces are
 gcd itself and the set model's element enumeration.  The enumerations run
-in the blocked kernels of _kernels: every subset and every tuple is still
-visited and its gcd taken, but memory stays within a fixed block size
-whatever the budget.  Budgets bound the time instead, stopping runaway
-enumerations before they start.
+in the blocked kernels of _kernels, one path for integers of every size:
+every subset and every tuple is still visited and its gcd taken, but
+memory stays within a fixed block size whatever the budget.  Budgets
+bound the time instead, stopping runaway enumerations before they start.
 """
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
 from . import _kernels
 from .errors import BudgetExceededError, DomainError, check_positive
@@ -48,26 +48,8 @@ def subset_gcd_histogram(X: ProgressionUnion, fold: int = 0, budget=None) -> tup
         )
     if fold < 0:
         raise DomainError(f"fold must be nonnegative, got {fold}")
-    elements = enumerate_elements(X)
-    if max(fold, elements[-1]) <= _kernels.INT64_MAX and len(elements) < 63:
-        counts = _kernels.subset_gcd_counts(elements, fold)
-        return tuple(int(c) for c in counts)
-    return _subset_histogram_bigint(elements, fold)
-
-
-def _subset_histogram_bigint(elements, fold):
-    # one binary-counter walk over every subset, free of int64 limits
-    counts = [0] * (len(elements) + 1)
-    for s in range(1, 1 << len(elements)):
-        g = fold
-        for i, v in enumerate(elements):
-            if g == 1:
-                break
-            if (s >> i) & 1:
-                g = gcd(g, v)
-        if g == 1:
-            counts[s.bit_count()] += 1
-    return tuple(counts)
+    counts = _kernels.subset_gcd_counts(enumerate_elements(X), fold)
+    return tuple(int(c) for c in counts)
 
 
 def brute_f(X: ProgressionUnion, budget=None) -> int:

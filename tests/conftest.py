@@ -76,7 +76,7 @@ def subsets_recount(elements, n=None):
     """(total, by_cardinality) over nonempty subsets with gcd 1.
 
     n, when given, joins every gcd as an extra element.  Combination
-    based, so it shares nothing with the package oracle's binary counter.
+    based, so it shares nothing with the package oracle's gcd tables.
     """
     by_k = [0] * (len(elements) + 1)
     for k in range(1, len(elements) + 1):

@@ -3,7 +3,7 @@
 import random
 import time
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -21,6 +21,7 @@ from relprime import (
     interval,
     moebius,
     parse_set_spec,
+    primes_up_to,
     primorial_up_to,
     subset_gcd_histogram,
     validate_union,
@@ -37,6 +38,15 @@ REGIMES = {
 }
 FOLDS = [0, 1, 6, 30030]
 HUGE_MODULI = [2**64 + 1, 3 * 2**70 + 35, 3 * 2**65]
+# sieve limits at and around prime squares, where crossing off begins,
+# and 101^2 near 10^4
+SIEVE_LIMITS = [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50,
+                120, 121, 122, 168, 169, 170, 300, 10201]
+# sets whose elements pass 2^63
+HUGE_SETS = [
+    "10000000000000000000..10000000000000000015",
+    "ap(30000000000000000000,6,10) + ap(30000000000000000001,10,6)",
+]
 
 
 def test_brute_subset_examples():
@@ -138,10 +148,15 @@ def test_oracle_is_deterministic():
 
 def test_kernels_agree_with_definitions():
     # each kernel against a recount from its definition: mu(d) from the
-    # factorization, subsets and tuples from itertools walks
-    assert list(_kernels.moebius_values(300)) == [0] + [
-        moebius(d) for d in range(1, 301)
-    ]
+    # factorization, primes by trial division, subsets and tuples from
+    # itertools walks
+    top = SIEVE_LIMITS[-1]
+    mu = [0] + [moebius(d) for d in range(1, top + 1)]
+    prime = [d > 1 and all(d % q for q in range(2, isqrt(d) + 1))
+             for d in range(top + 1)]
+    for limit in SIEVE_LIMITS:
+        assert list(_kernels.moebius_values(limit)) == mu[: limit + 1]
+        assert primes_up_to(limit) == [d for d in range(limit + 1) if prime[d]]
     elements = np.array([4, 6, 9, 10, 15, 25, 49], dtype=np.int64)
     for fold in (0, 1, 6, 30):
         _, by_k = subsets_recount(elements.tolist(), fold or None)
@@ -171,6 +186,12 @@ def test_subset_kernel_matches_recount_in_small_blocks(small_blocks):
         for fold in FOLDS:
             _, by_k = subsets_recount(members, fold or None)
             assert list(_kernels.subset_gcd_counts(elements, fold)) == by_k
+    # elements at and past 2^63, in the low table and in the outer blocks
+    for members in ([2**63 - 4 + 3 * v for v in range(9)],
+                    [6 * v for v in range(1, 7)] + [2**64 + 6 * v for v in range(4)]):
+        for fold in FOLDS + HUGE_MODULI:
+            _, by_k = subsets_recount(members, fold or None)
+            assert list(_kernels.subset_gcd_counts(members, fold)) == by_k
 
 
 def test_tuple_kernel_matches_recount_in_small_blocks(small_blocks):
@@ -206,6 +227,18 @@ def test_oracle_with_moduli_beyond_int64():
     for m in HUGE_MODULI:
         for ordering in REGIMES.values():
             assert brute_tuples(7, 3, m, ordering) == tuples_recount(7, 3, m, ordering)
+    for spec in HUGE_SETS:
+        X = parse_set_spec(spec)
+        members = enumerate_elements(X)
+        assert members[-1] > 2**63
+        for fold in (0, 6, 2**64 + 1):
+            total, by_k = subsets_recount(members, fold or None)
+            if fold:
+                assert brute_phi(X, fold) == total
+                assert [brute_phi_k(X, fold, k) for k in range(1, X.size + 1)] == by_k[1:]
+            else:
+                assert brute_f(X) == total
+                assert [brute_f_k(X, k) for k in range(1, X.size + 1)] == by_k[1:]
 
 
 def test_tuple_walk_stops_at_a_fixed_point():
