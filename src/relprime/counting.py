@@ -1,26 +1,31 @@
 """The Möbius-sum core, and the four subset counters built on it.
 
 Every count in the package is one sum: mu(d) * weight(|X_d|) over a
-stream of squarefree d.  Every weight vanishes at |X_d| = 0, so only d
-that divide some element of X (and the modulus, when there is one) can
-contribute.  The stream comes from one of three sources: the squarefree
-divisors of the modulus (found from its primes up to the bound, so a
-modulus of any size is walked without a sieve), every squarefree d up
-to the bound walked lazily off the sieve table, or the squarefree
-divisors of the elements themselves.  subset_sum takes the last when
-factoring every element is cheaper than sieving to max X.  The kernel
-|X_d| is the set model's union_multiples for the subset counters here
-and floor(n/d) for the tuple counters in shonhiwa.  The weight depends
-on |X_d| alone: 2^e - 1, C(e, k), e^k or C(e + k - 1, k).  The sieve
-walk meets each |X_d| value many times, so it sums mu per distinct
-value first and weighs each value once; the other two sources rarely
-repeat a value and weigh term by term.  mobius_sum accumulates positive
+stream of squarefree d.  Every weight vanishes at |X_d| = 0 (the sums
+rely on it), so only d that divide some element of X (and the modulus,
+when there is one) can contribute.  The stream comes from one of three
+sources: the squarefree divisors of the modulus (found from its primes
+up to the bound, so a modulus of any size is walked without a sieve),
+every squarefree d up to the bound walked lazily off the sieve table,
+or, for small sets, the divisors two elements share.  subset_sum takes
+the last when factoring every element would be cheaper than sieving to
+max X.  The part |X_d| * weight(1) of every term then adds up to
+weight(1) times the number of elements prime to the modulus, and the
+rest vanishes unless d divides two elements, so only the part of each
+element that some other element shares is factored.  The kernel |X_d| is
+the set model's union_multiples for the subset counters here and
+floor(n/d) for the tuple counters in shonhiwa.  The weight depends on
+|X_d| alone: 2^e - 1, C(e, k), e^k or C(e + k - 1, k).  The sieve walk
+meets each |X_d| value many times, so it sums mu per distinct value
+first and weighs each value once; the other two sources rarely repeat
+a value and weigh term by term.  mobius_sum accumulates positive
 and negative contributions separately so the final subtraction can
 insist the result is a genuine count.
 """
 
-from collections import defaultdict
-from math import comb, gcd, isqrt
+from collections import Counter, defaultdict
+from itertools import chain
+from math import comb, gcd, isqrt, prod
 
 from .errors import DomainError, check_positive
 from .numtheory import moebius_sieve, squarefree_divisor_terms, squarefree_divisors
@@ -98,36 +103,61 @@ def divisor_terms(modulus, bound: int):
     return squarefree_divisor_terms(modulus, bound)
 
 
-def element_divisor_terms(X: ProgressionUnion, modulus) -> list:
-    """Pairs (d, mu(d)) over squarefree d dividing gcd(x, modulus) for
-    some x in X, ascending; a modulus of None leaves x itself.
+def shared_divisor_terms(X: ProgressionUnion, modulus) -> tuple:
+    """(units, terms) for the shared-divisor split of a subset sum.
 
-    These are exactly the terms of divisor_terms(modulus, max X) with
-    |X_d| > 0, found by factoring each element instead of sieving.
+    With r_x = gcd(x, modulus) (x itself when modulus is None), units is
+    the number of x with r_x = 1 and terms holds the pairs (d, mu(d)),
+    ascending, over d = 1 and the squarefree divisors of every g_x.
+    g_x is r_x itself when another element has the same r_x, and
+    gcd(r_x, R / r_x) otherwise, R the product of the distinct values
+    of r_x.  Any d that divides two of the r_x divides both their g_x,
+    so every d with |X_d| >= 2 is among the terms.  Only the g_x are
+    factored, and each divides its x.
     """
-    terms = {}
-    for part in X.parts:
-        for x in part.elements():
-            terms.update(squarefree_divisors(x if modulus is None else gcd(x, modulus)))
-    return sorted(terms.items())
+    fold = 0 if modulus is None else modulus
+    r = Counter(gcd(x, fold) for part in X.parts for x in part.elements())
+    R = prod(r)
+    terms = {1: 1}
+    for g in {v if n > 1 else gcd(v, R // v) for v, n in r.items() if v > 1}:
+        terms.update(squarefree_divisors(g))
+    return r[1], sorted(terms.items())
+
+
+def shared_divisor_sum(X: ProgressionUnion, modulus, weight) -> int:
+    """subset_sum from the shared-divisor terms, splitting the weight as
+    weight(e) = e * weight(1) + v(e).
+
+    Summed over d, mu(d) * |X_d| counts the x with r_x = 1, so the first
+    part is weight(1) times the units.  v vanishes at e = 0 and e = 1, so
+    the second part needs only the terms with |X_d| >= 2.
+    """
+    units, terms = shared_divisor_terms(X, modulus)
+    w1 = weight(1)
+    kernels = ((mu, union_multiples(X, d)) for d, mu in terms)
+    shared = ((mu, weight(e) - e * w1) for mu, e in kernels if e > 1)
+    return mobius_sum(chain([(units, w1)], shared))
 
 
 def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
-    """Sum of mu(d) * weight(|X_d|) over d that can divide an element.
+    """Sum of mu(d) * weight(|X_d|) over squarefree d, for a weight with
+    weight(0) = 0, as every counter's is; d that divides no element then
+    contributes nothing.
 
     Factoring every element by trial division costs at most
-    |X| * sqrt(max X) steps against max X sieve candidates, so the
-    cheaper of the two picks the divisor source; d beyond max X has
-    |X_d| = 0 either way.  The sieve walk is grouped by |X_d|.
+    |X| * sqrt(max X) steps against max X sieve candidates, so when that
+    is cheaper the sum comes from shared_divisor_sum, which factors only
+    the part of each element another element shares.  Otherwise d walks
+    the squarefree divisors of the modulus, or with no modulus the sieve
+    to max X grouped by |X_d|; d beyond max X has |X_d| = 0.
     """
     top = X.max_element
     if X.size * isqrt(top) < top:
-        terms = element_divisor_terms(X, modulus)
-    elif modulus is None:
+        return shared_divisor_sum(X, modulus, weight)
+    if modulus is None:
         kernels = ((mu, union_multiples(X, d)) for d, mu in divisor_terms(None, top))
         return mobius_sum(grouped(kernels, weight))
-    else:
-        terms = divisor_terms(modulus, top)
+    terms = divisor_terms(modulus, top)
     return mobius_sum((mu, weight(union_multiples(X, d))) for d, mu in terms)
 
 

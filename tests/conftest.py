@@ -3,7 +3,9 @@
 The helpers re-derive everything from definitions: element scans,
 itertools recounts, and the floor-and-epsilon formulas from the
 literature.  None of them call the package's fast paths, so the fast
-paths are never used to check themselves.
+paths are never used to check themselves.  element_divisor_terms is the
+former small-set divisor source, kept here as the reference the
+shared-divisor source is checked against.
 """
 
 from functools import reduce
@@ -18,6 +20,7 @@ from relprime import (
     mod_inverse,
     validate_union,
 )
+from relprime.numtheory import squarefree_divisors
 
 settings.register_profile(
     "suite",
@@ -70,6 +73,20 @@ def coprime_floor_eps_count(p: Progression, d: int) -> int:
         if residue <= m - base * d - 1:
             eps = 1
     return base + eps
+
+
+def element_divisor_terms(X, modulus) -> list:
+    """Pairs (d, mu(d)) over squarefree d dividing gcd(x, modulus) for
+    some x in X, ascending; a modulus of None leaves x itself.
+
+    These are exactly the terms of divisor_terms(modulus, max X) with
+    |X_d| > 0, found by factoring each element instead of sieving.
+    """
+    terms = {}
+    for part in X.parts:
+        for x in part.elements():
+            terms.update(squarefree_divisors(x if modulus is None else gcd(x, modulus)))
+    return sorted(terms.items())
 
 
 def subsets_recount(elements, n=None):

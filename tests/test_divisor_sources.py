@@ -1,19 +1,24 @@
 """The three divisor sources against their definitions and each other.
 
-subset_sum factors the elements of small sets instead of sieving to
-max X.  Both sources are called directly here on the same inputs: the
-walk from divisor_terms is the reference wherever it is affordable,
-and the oracle wherever the set is small enough to enumerate.  The
-modulus source is checked against the definition of its terms, and the
-grouped sieve walk against the per-term sum it replaces.
+subset_sum takes small sets from the divisors their elements share
+instead of sieving to max X.  That source is called directly here on
+the same inputs as its references: conftest's element_divisor_terms,
+the former source that factors every element whole; the walk from
+divisor_terms wherever it is affordable; and the oracle wherever the
+set is small enough to enumerate.  The modulus source is checked
+against the definition of its terms, and the grouped sieve walk
+against the per-term sum it replaces.
 """
 
 import json
 import random
 from collections import Counter
-from math import isqrt
+from math import gcd, isqrt
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relprime import (
     Progression,
@@ -33,17 +38,20 @@ from relprime import (
     numtheory,
     parse_set_spec,
     phi,
+    phi_k,
     power_of_two_minus_one,
     primorial_up_to,
     squarefree_divisor_terms,
+    subset_gcd_histogram,
     validate_union,
 )
-from relprime.counting import divisor_terms, element_divisor_terms, mobius_sum
-from relprime.setmodel import union_multiples
-from conftest import random_union
+from relprime.counting import divisor_terms, mobius_sum, shared_divisor_sum, shared_divisor_terms
+from relprime.setmodel import enumerate_elements, union_multiples
+from conftest import element_divisor_terms, random_union
 
 SMALL_PRIMORIAL = primorial_up_to(13)  # 30030
 BIG_PRIMORIAL = primorial_up_to(50)  # about 6.1 * 10^17
+HUGE_MODULUS = 2**64 + 1  # 274177 * 67280421310721
 MODULI = (None, 1, SMALL_PRIMORIAL, BIG_PRIMORIAL)
 
 # with no modulus the walk sieves to max X
@@ -90,10 +98,26 @@ def oracle(X, modulus, k):
     return brute_phi(X, modulus) if k is None else brute_phi_k(X, modulus, k)
 
 
+def weights_for(X):
+    """(k, weight): 2^e - 1 as k = None, then C(e, k) for k in 1..|X|+1."""
+    weights = [(None, power_of_two_minus_one)]
+    weights += [(k, lambda e, k=k: binomial(e, k)) for k in range(1, X.size + 2)]
+    return weights
+
+
+def units_by_definition(X, modulus):
+    fold = 0 if modulus is None else modulus
+    return sum(1 for x in enumerate_elements(X) if gcd(x, fold) == 1)
+
+
 @pytest.mark.parametrize("modulus", MODULI, ids=("none", "one", "small", "big"))
 def test_element_source_agrees_with_walk_and_oracle(modulus):
     for X in agreement_sets():
-        terms = element_divisor_terms(X, modulus)
+        units, terms = shared_divisor_terms(X, modulus)
+        assert units == units_by_definition(X, modulus)
+        reference = element_divisor_terms(X, modulus)
+        # every shared term divides some element, so it is a reference term
+        assert set(terms) <= set(reference)
         walk = None
         sieves = modulus is None
         if not sieves or X.max_element <= REFERENCE_SIEVE_LIMIT:
@@ -101,20 +125,52 @@ def test_element_source_agrees_with_walk_and_oracle(modulus):
                 (d, mu, union_multiples(X, d))
                 for d, mu in divisor_terms(modulus, X.max_element)
             ]
-            # the element source keeps exactly the walk's terms with |X_d| > 0
-            assert terms == [(d, mu) for d, mu, e in walk if e]
+            # the reference keeps exactly the walk's terms with |X_d| > 0
+            assert reference == [(d, mu) for d, mu, e in walk if e]
+            # the shared source keeps every walk term with |X_d| >= 2
+            assert {(d, mu) for d, mu, e in walk if e > 1} <= set(terms)
             # the walk's sum, grouped by |X_d| so every weight costs one pass
             mu_by_e = Counter()
             for _, mu, e in walk:
                 mu_by_e[e] += mu
-        weights = [(None, power_of_two_minus_one)]
-        weights += [(k, lambda e, k=k: binomial(e, k)) for k in range(1, X.size + 2)]
-        for k, weight in weights:
-            total = mobius_total(terms, X, weight)
+        for k, weight in weights_for(X):
+            total = shared_divisor_sum(X, modulus, weight)
+            assert total == mobius_total(reference, X, weight), (str(X), modulus, k)
             if walk is not None:
                 assert total == sum(c * weight(e) for e, c in mu_by_e.items()), (str(X), modulus, k)
             if X.size <= ORACLE_SIZE_LIMIT:
                 assert total == oracle(X, modulus, k), (str(X), modulus, k)
+
+
+def singleton(rng):
+    return validate_union([Progression(rng.choice((1, rng.randint(2, 10**9))), 1, 1)])
+
+
+def containing_one(rng):
+    return validate_union([Progression(1, rng.randint(1, 12), rng.randint(2, 12))])
+
+
+SHAPES = {
+    "singleton": singleton,
+    "containing one": containing_one,
+    "sparse": sparse_union,
+    "random": lambda rng: random_union(rng, size_cap=12),
+}
+
+
+@settings(max_examples=100)
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    modulus=st.sampled_from(MODULI + (HUGE_MODULUS,)),
+    rng=st.randoms(use_true_random=False),
+)
+def test_shared_source_sum_equals_reference_and_oracle(shape, modulus, rng):
+    X = SHAPES[shape](rng)
+    reference = element_divisor_terms(X, modulus)
+    for k, weight in weights_for(X):
+        total = shared_divisor_sum(X, modulus, weight)
+        assert total == mobius_total(reference, X, weight), (str(X), modulus, k)
+        assert total == oracle(X, modulus, k), (str(X), modulus, k)
 
 
 def refuse_sieve(monkeypatch):
@@ -150,6 +206,31 @@ def test_dense_sets_still_sieve(monkeypatch):
     total = f(X)
     assert limits == [2000]
     assert total == mobius_total(element_divisor_terms(X, None), X, power_of_two_minus_one)
+
+
+SHARED_PRIME_SETS = (
+    # every element past 2^64, with no prime shared between the two parts
+    "ap(30000000000000000000,6,10) + ap(30000000000000000001,10,6)",
+    # p, 2p, 3p for the prime p = 1000000000039, so every g_x is p itself
+    "ap(1000000000039,1000000000039,3)",
+)
+
+
+@pytest.mark.parametrize("spec", SHARED_PRIME_SETS)
+def test_sets_of_huge_elements_count_fast(spec):
+    X = parse_set_spec(spec)
+    histograms = {n: subset_gcd_histogram(X, n) for n in (0, 6, SMALL_PRIMORIAL, HUGE_MODULUS)}
+    ks = range(1, X.size + 2)
+    start = perf_counter()
+    counts = {0: (f(X), [f_k(X, k) for k in ks])}
+    for n in (6, SMALL_PRIMORIAL, HUGE_MODULUS):
+        counts[n] = (phi(X, n), [phi_k(X, n, k) for k in ks])
+    elapsed = perf_counter() - start
+    for n, (total, by_k) in counts.items():
+        hist = histograms[n]
+        assert total == sum(hist), (spec, n)
+        assert by_k == [hist[k] if k < len(hist) else 0 for k in ks], (spec, n)
+    assert elapsed < 1.0
 
 
 def test_cli_verifies_a_set_with_huge_elements(capsys):
