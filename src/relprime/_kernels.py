@@ -15,11 +15,14 @@ Python ints, which np.gcd takes as well.  Every function returns the
 same integers its definition does, and the formula paths never touch
 these arrays except through the sieve tables, which numtheory converts
 to Python ints once.
+
+numpy is imported inside each function that builds arrays, never at
+module level, so importing the package loads no numpy: it is loaded on
+first use, by the sieves and the oracle only.  The constants below are
+plain Python and need none.
 """
 
 from math import isqrt
-
-import numpy as np
 
 BACKEND = "numpy"
 
@@ -32,8 +35,10 @@ _TUPLE_BLOCK = 1 << 16
 INT64_MAX = 2**63 - 1
 
 
-def primes(limit: int) -> np.ndarray:
+def primes(limit: int):
     """The primes p <= limit, ascending."""
+    import numpy as np
+
     if limit < 2:
         return np.zeros(0, dtype=np.intp)
     composite = np.zeros(limit + 1, dtype=bool)
@@ -44,8 +49,10 @@ def primes(limit: int) -> np.ndarray:
     return np.flatnonzero(~composite)
 
 
-def moebius_values(limit: int) -> np.ndarray:
+def moebius_values(limit: int):
     """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero."""
+    import numpy as np
+
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes(limit).tolist():
@@ -54,7 +61,7 @@ def moebius_values(limit: int) -> np.ndarray:
     return mu
 
 
-def subset_gcd_counts(elements, fold: int) -> np.ndarray:
+def subset_gcd_counts(elements, fold: int):
     """counts[c] = number of c-element subsets with gcd(subset, fold) == 1.
 
     Every subset is the union of a low part, drawn from the first
@@ -68,6 +75,8 @@ def subset_gcd_counts(elements, fold: int) -> np.ndarray:
     of any size: the gcd tables are int64 when fold and every element
     fit, and object arrays of Python ints otherwise.
     """
+    import numpy as np
+
     values = [int(v) for v in elements]
     dtype = np.int64 if max([fold, *values]) <= INT64_MAX else object
     low, high = values[:_SUBSET_BLOCK_BITS], values[_SUBSET_BLOCK_BITS:]
@@ -90,6 +99,8 @@ def subset_gcd_counts(elements, fold: int) -> np.ndarray:
 
 def _gcd_table(values, dtype):
     # doubling pass: entry s is the gcd of the values selected by bit s
+    import numpy as np
+
     table = np.zeros(1, dtype=dtype)
     size = np.zeros(1, dtype=np.intp)
     for v in values:
@@ -102,6 +113,8 @@ def _subset_blocks(values, fold, dtype):
     # (gcd, size) blocks over every subset of values, each gcd folded with
     # fold: the last _SUBSET_BLOCK_BITS values form one table, folded with
     # every gcd of the subsets of the values before them
+    import numpy as np
+
     split = max(len(values) - _SUBSET_BLOCK_BITS, 0)
     table, size = _gcd_table(values[split:], dtype)
     if split:
@@ -120,6 +133,8 @@ def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
     nothing, so those gcds are counted as they are.  Any other fold is
     applied with np.gcd, on Python ints once it passes int64.
     """
+    import numpy as np
+
     total = 0
     for g in _tuple_gcd_blocks(n, k, regime):
         if fold:
@@ -140,6 +155,8 @@ def _tuple_gcd_blocks(n, k, regime):
     when it empties or when an extension leaves it unchanged, since every
     later extension would too.
     """
+    import numpy as np
+
     first = 1 if regime == NONDECREASING else 0
     root = (np.zeros(1, dtype=np.int64), np.array([first], dtype=np.int64), 0)
     pending = [iter([root])]
@@ -176,6 +193,8 @@ def _split(g, last, depth, n, lo, hi):
     # every prefix grows by at most n values, so slices of _TUPLE_BLOCK // n
     # prefixes fit a block; a single prefix's next values, lo..hi, are
     # walked a window at a time
+    import numpy as np
+
     if len(g) > 1:
         step = max(1, _TUPLE_BLOCK // n)
         for i in range(0, len(g), step):

@@ -4,8 +4,12 @@ Everything works on plain Python integers so results stay exact at any
 size.  The prime and Möbius sieves are the only array-backed pieces:
 both run the one numpy prime sieve in _kernels and convert to Python
 ints once, so their entries never leak fixed-width scalars into
-big-integer sums.  Factoring has one trial-division loop,
-_prime_divisors, behind factorize and the squarefree divisor walks.
+big-integer sums; they are also the only functions here that load
+numpy.  Factoring has one trial-division loop, _prime_divisors, behind
+factorize and the squarefree divisor walks.  It stays pure Python: past
+2^16 it stops at a leftover that a Miller-Rabin test on the bases up to
+41 proves prime, exact below 3317044064679887385961981, so no probable
+prime ever enters a count.
 """
 
 from dataclasses import dataclass
@@ -15,6 +19,13 @@ from operator import itemgetter
 
 from . import _kernels
 from .errors import DomainError
+
+# _WITNESS_BOUND is the least strong pseudoprime to all of _WITNESSES,
+# the first 13 primes (Sorenson and Webster, Strong pseudoprimes to
+# twelve prime bases, Math. Comp. 86 (2017))
+_TRIAL_ONLY = 1 << 16
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3317044064679887385961981
 
 
 @dataclass(frozen=True)
@@ -126,10 +137,14 @@ def _prime_divisors(n: int, cap: int) -> list:
 
     Trial division stops once p exceeds cap or p^2 exceeds what is left
     of n; the leftover is then 1, a prime, or built from primes above cap.
+    Past p = 2^16 it also stops once _proven_prime clears the leftover,
+    tested once for each value the leftover takes, so a large prime
+    factor costs one test instead of a walk to its square root.
     Exponents are divided out but not counted.
     """
     primes = []
     rest = n
+    tested = 1  # the last leftover found composite
     p = 2
     while p <= cap and p * p <= rest:
         if rest % p == 0:
@@ -137,10 +152,37 @@ def _prime_divisors(n: int, cap: int) -> list:
             rest //= p
             while rest % p == 0:
                 rest //= p
+        elif p > _TRIAL_ONLY and rest != tested:
+            if _proven_prime(rest):
+                break
+            tested = rest
         p += 1 if p == 2 else 2
     if 1 < rest <= cap:
         primes.append(rest)
     return primes
+
+
+def _proven_prime(n: int) -> bool:
+    """True when the odd n > 41 is prime, by Miller-Rabin on the bases
+    _WITNESSES; False when n is composite, or too large for those bases
+    to prove anything."""
+    if n >= _WITNESS_BOUND:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def mod_inverse(b: int, d: int) -> int:

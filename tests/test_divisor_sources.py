@@ -213,6 +213,12 @@ SHARED_PRIME_SETS = (
     "ap(30000000000000000000,6,10) + ap(30000000000000000001,10,6)",
     # p, 2p, 3p for the prime p = 1000000000039, so every g_x is p itself
     "ap(1000000000039,1000000000039,3)",
+    # the same shape for primes whose square roots trial division would
+    # walk for about 1 s, 8 s and over a minute: each g_x is p, which the
+    # primality test clears once trial division passes 2^16
+    "ap(100000000000031,100000000000031,3)",
+    "ap(10000000000000061,10000000000000061,3)",
+    "ap(1000000000000000003,1000000000000000003,3)",
 )
 
 

@@ -1,9 +1,11 @@
 """Möbius, divisor, and modular-arithmetic building blocks."""
 
+from collections import Counter
+from itertools import combinations
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relprime import (
@@ -186,3 +188,84 @@ def test_squarefree_divisors_are_the_nonzero_divisor_terms():
         assert numtheory.squarefree_divisors(n) == want
     with pytest.raises(DomainError):
         numtheory.squarefree_divisors(0)
+
+
+def factor_by_trial(n):
+    """[(p, e), ...] by trying every d up to the square root: the reference."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+# the least strong pseudoprimes to the first 4, 9 and 12 prime bases:
+# Miller-Rabin on fewer bases than the first 13 would clear one as prime
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
+# the least strong pseudoprime to all 13 bases 2..41:
+# 1287836182261 * 2575672364521
+WITNESS_BOUND = 3317044064679887385961981
+
+
+def test_strong_pseudoprimes_come_out_composite():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not numtheory._proven_prime(n), n
+    # the first two factor within reach of the reference
+    for n in STRONG_PSEUDOPRIMES[:2]:
+        factors = factorize(n)
+        assert factors == factor_by_trial(n)
+        assert len(factors) == 3
+    # the third's smallest prime is about 4 * 10^11: no d <= 10^5 divides it
+    assert squarefree_divisor_terms(STRONG_PSEUDOPRIMES[2], 10**5) == [(1, 1)]
+
+
+def test_primality_test_proves_nothing_at_its_bound():
+    # the bound passes all 13 bases, so it must not be cleared as prime
+    assert not numtheory._proven_prime(WITNESS_BOUND)
+    assert squarefree_divisor_terms(WITNESS_BOUND, 10**5) == [(1, 1)]
+
+
+def test_primality_test_matches_trial_division():
+    for n in (*range(43, 20000, 2), *range(2**32 + 1, 2**32 + 600, 2)):
+        assert numtheory._proven_prime(n) == (factor_by_trial(n) == [(n, 1)]), n
+
+
+# primes on either side of the 2^16 threshold and far past it; the large
+# ones are cleared by the primality test, and factoring them by trial
+# division would take 10^6 to 10^9 steps.  A leftover made of two large
+# primes is still walked to its square root, so at most one joins.
+NEAR_THRESHOLD = (2, 3, 65521, 65537, 65539, 131071)
+LARGE_PRIMES = (1000000000039, 100000000000031, 10000000000000061,
+                1000000000000000003, 2**61 - 1)
+
+
+@settings(max_examples=30)
+@given(
+    st.lists(st.sampled_from(NEAR_THRESHOLD), max_size=4),
+    st.lists(st.sampled_from(LARGE_PRIMES), max_size=1),
+    st.integers(min_value=1, max_value=3),
+)
+def test_factorize_past_the_threshold(small, large, exponent):
+    n = prod(small) ** exponent * prod(large)
+    want = sorted(Counter([*small * exponent, *large]).items())
+    assert factorize(n) == want
+    primes = [p for p, _ in want]
+    products = sorted(
+        (prod(c), (-1) ** r) for r in range(len(primes) + 1) for c in combinations(primes, r)
+    )
+    for cap in (65536, 10**6, n):
+        assert squarefree_divisor_terms(n, cap) == [(d, mu) for d, mu in products if d <= cap]
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=2**32, max_value=2**34))
+def test_factorize_matches_trial_division_past_the_threshold(n):
+    assert factorize(n) == factor_by_trial(n)
