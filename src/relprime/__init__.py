@@ -7,33 +7,12 @@ recounts everything from the definitions for verification.
 """
 
 from ._kernels import BACKEND
-from .counting import (
-    binomial,
-    f,
-    f_k,
-    mobius_sum,
-    nathanson_f,
-    nathanson_phi,
-    phi,
-    phi_k,
-    power_of_two_minus_one,
-)
+from .counting import f, f_k, nathanson_f, nathanson_phi, phi, phi_k
 from .errors import (
     BudgetExceededError,
     DomainError,
     OverlapError,
     SetSpecError,
-)
-from .numtheory import (
-    divisors_with_mu,
-    factorize,
-    mod_inverse,
-    moebius,
-    moebius_sieve,
-    primes_up_to,
-    primorial_up_to,
-    radical,
-    squarefree_divisor_terms,
 )
 from .oracle import (
     OracleBudget,
@@ -67,37 +46,25 @@ __all__ = [
     "Progression",
     "ProgressionUnion",
     "SetSpecError",
-    "binomial",
     "brute_f",
     "brute_f_k",
     "brute_phi",
     "brute_phi_k",
     "brute_tuples",
     "count_ap_multiples",
-    "divisors_with_mu",
     "enumerate_elements",
     "f",
     "f_k",
-    "factorize",
     "g_count",
     "h_count",
     "interval",
     "l_count",
-    "mobius_sum",
-    "mod_inverse",
-    "moebius",
-    "moebius_sieve",
     "nathanson_f",
     "nathanson_phi",
     "parse_set_spec",
     "phi",
     "phi_k",
-    "power_of_two_minus_one",
-    "primes_up_to",
-    "primorial_up_to",
-    "radical",
     "s_count",
-    "squarefree_divisor_terms",
     "subset_gcd_histogram",
     "t_count",
     "union_multiples",

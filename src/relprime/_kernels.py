@@ -22,6 +22,7 @@ first use, by the sieves and the oracle only.  The constants below are
 plain Python and need none.
 """
 
+import sys
 from math import isqrt
 
 BACKEND = "numpy"
@@ -35,8 +36,18 @@ _TUPLE_BLOCK = 1 << 16
 INT64_MAX = 2**63 - 1
 
 
+def _check_sieve_limit(limit: int):
+    # a sieve holds limit + 1 entries, and numpy refuses a dimension that
+    # size with a bare ValueError; refuse it first, before any allocation
+    if limit >= sys.maxsize:
+        raise OverflowError(
+            f"sieve limit {limit} is too large for an array (at most {sys.maxsize - 1})"
+        )
+
+
 def primes(limit: int):
     """The primes p <= limit, ascending."""
+    _check_sieve_limit(limit)
     import numpy as np
 
     if limit < 2:
@@ -51,6 +62,7 @@ def primes(limit: int):
 
 def moebius_values(limit: int):
     """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero."""
+    _check_sieve_limit(limit)
     import numpy as np
 
     mu = np.ones(limit + 1, dtype=np.int8)

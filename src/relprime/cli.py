@@ -9,8 +9,8 @@ Records go to stdout as JSON lines (one object per query) or, with
 strings so arbitrarily large values survive 64-bit JSON parsers.
 
 Exit codes: 0 success, 2 usage or parse error, 3 overlapping union,
-4 oracle budget exceeded or out of memory, 5 failed sequence check,
-6 verify mismatch, 130 interrupted.
+4 oracle budget exceeded, out of memory or a size too large to
+represent, 5 failed sequence check, 6 verify mismatch, 130 interrupted.
 """
 
 import argparse
@@ -86,6 +86,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("relprime: out of memory; try a smaller set, range or budget",
               file=sys.stderr)
+        return EXIT_BUDGET
+    except OverflowError as exc:
+        print(f"relprime: too large to represent: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except KeyboardInterrupt:
         print("relprime: interrupted", file=sys.stderr)

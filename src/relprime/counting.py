@@ -1,31 +1,23 @@
 """The Möbius-sum core, and the four subset counters built on it.
 
-Every count in the package is one sum: mu(d) * weight(|X_d|) over a
-stream of squarefree d.  Every weight vanishes at |X_d| = 0 (the sums
-rely on it), so only d that divide some element of X (and the modulus,
-when there is one) can contribute.  The stream comes from one of three
-sources: the squarefree divisors of the modulus (found from its primes
-up to the bound, so a modulus of any size is walked without a sieve),
-every squarefree d up to the bound walked lazily off the sieve table,
-or, for small sets, the divisors two elements share.  subset_sum takes
-the last when factoring every element would be cheaper than sieving to
-max X.  The part |X_d| * weight(1) of every term then adds up to
-weight(1) times the number of elements prime to the modulus, and the
-rest vanishes unless d divides two elements, so only the part of each
-element that some other element shares is factored.  The kernel |X_d| is
-the set model's union_multiples for the subset counters here and
-floor(n/d) for the tuple counters in shonhiwa.  The weight depends on
-|X_d| alone: 2^e - 1, C(e, k), e^k or C(e + k - 1, k).  The sieve walk
-meets each |X_d| value many times, so it sums mu per distinct value
-first and weighs each value once; the other two sources rarely repeat
-a value and weigh term by term.  mobius_sum accumulates positive
+Every count in the package is one sum: mu(d) * weight(kernel(d)) over
+squarefree d, where the kernel is |X_d| (union_multiples) for the subset
+counters here and floor(n/d) for the tuple counters in shonhiwa.
+divisor_sum is the one walk behind all nine.  It has two streams: with
+no modulus, every squarefree d up to the bound off the sieve table,
+grouped by kernel value because that walk meets each value many times;
+with a modulus, its squarefree divisors, found from its own primes and
+weighed term by term.  Small sets take a third source, the divisors two
+elements share (shared_divisor_sum).  mobius_sum accumulates positive
 and negative contributions separately so the final subtraction can
 insist the result is a genuine count.
 """
 
 from collections import Counter, defaultdict
+from functools import partial
 from itertools import chain
 from math import comb, gcd, isqrt, prod
+from operator import floordiv
 
 from .errors import DomainError, check_positive
 from .numtheory import moebius_sieve, squarefree_divisor_terms, squarefree_divisors
@@ -73,34 +65,35 @@ def mobius_sum(terms) -> int:
     return total
 
 
-def grouped(kernels, weight):
-    """(coefficient, weight(e)) per distinct e, from (mu, e) pairs.
+def grouped(terms, kernel, weight):
+    """(coefficient, weight(e)) per distinct e = kernel(d), from (d, mu) pairs.
 
-    The coefficient of e is the sum of mu over its pairs, so mobius_sum
-    of the output equals that of (mu, weight(e)) term by term, with one
-    weight and one big multiply-add per distinct e.  Values whose
-    coefficients cancel to zero are never weighed.
+    The coefficient of e is the sum of mu over the d with kernel(d) = e,
+    so mobius_sum of the output equals that of (mu, weight(kernel(d)))
+    term by term, with one weight and one big multiply-add per distinct
+    e.  Values whose coefficients cancel to zero are never weighed.
     """
     coefficients = defaultdict(int)
-    for mu, e in kernels:
-        coefficients[e] += mu
+    for d, mu in terms:
+        coefficients[kernel(d)] += mu
     for e, c in coefficients.items():
         if c:
             yield c, weight(e)
 
 
-def divisor_terms(modulus, bound: int):
-    """Pairs (d, mu(d)) over squarefree d <= bound, ascending.
+def divisor_sum(modulus, bound: int, kernel, weight) -> int:
+    """Sum of mu(d) * weight(kernel(d)) over squarefree d <= bound.
 
-    The walk for the tuple counters, and for subset sums whose sets are
-    too dense to factor element by element.  With modulus None every
-    squarefree d qualifies, walked lazily off a sieve to the bound;
-    otherwise only the divisors of the modulus.  Callers pick the bound
-    so that the terms past it would contribute zero.
+    With modulus None every squarefree d qualifies, walked lazily off a
+    sieve to the bound and grouped by kernel value; otherwise only the
+    divisors of the modulus, term by term, since they rarely repeat a
+    value.  Callers pick the bound so that the terms past it would
+    contribute zero.
     """
     if modulus is None:
-        return moebius_sieve(bound).nonzero_terms()
-    return squarefree_divisor_terms(modulus, bound)
+        return mobius_sum(grouped(moebius_sieve(bound).nonzero_terms(), kernel, weight))
+    terms = squarefree_divisor_terms(modulus, bound)
+    return mobius_sum((mu, weight(kernel(d))) for d, mu in terms)
 
 
 def shared_divisor_terms(X: ProgressionUnion, modulus) -> tuple:
@@ -147,29 +140,18 @@ def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
     Factoring every element by trial division costs at most
     |X| * sqrt(max X) steps against max X sieve candidates, so when that
     is cheaper the sum comes from shared_divisor_sum, which factors only
-    the part of each element another element shares.  Otherwise d walks
-    the squarefree divisors of the modulus, or with no modulus the sieve
-    to max X grouped by |X_d|; d beyond max X has |X_d| = 0.
+    the part of each element another element shares.  Otherwise it is
+    divisor_sum up to max X; d beyond max X has |X_d| = 0.
     """
     top = X.max_element
     if X.size * isqrt(top) < top:
         return shared_divisor_sum(X, modulus, weight)
-    if modulus is None:
-        kernels = ((mu, union_multiples(X, d)) for d, mu in divisor_terms(None, top))
-        return mobius_sum(grouped(kernels, weight))
-    terms = divisor_terms(modulus, top)
-    return mobius_sum((mu, weight(union_multiples(X, d))) for d, mu in terms)
+    return divisor_sum(modulus, top, partial(union_multiples, X), weight)
 
 
 def tuple_sum(n: int, modulus, weight) -> int:
-    """Sum of mu(d) * weight(floor(n/d)); d beyond n has floor(n/d) = 0.
-
-    The sieve walk (no modulus) is grouped by floor(n/d).
-    """
-    terms = divisor_terms(modulus, n)
-    if modulus is None:
-        return mobius_sum(grouped(((mu, n // d) for d, mu in terms), weight))
-    return mobius_sum((mu, weight(n // d)) for d, mu in terms)
+    """Sum of mu(d) * weight(floor(n/d)); d beyond n has floor(n/d) = 0."""
+    return divisor_sum(modulus, n, partial(floordiv, n), weight)
 
 
 def phi_k(X: ProgressionUnion, n: int, k: int) -> int:

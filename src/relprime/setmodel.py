@@ -172,6 +172,6 @@ def parse_set_spec(text: str) -> ProgressionUnion:
             raise SetSpecError(f"cannot parse term {term!r}")
         try:
             parts.append(builder(*map(int, match.groups())))
-        except DomainError as exc:
+        except ValueError as exc:  # DomainError, or int() past its digit limit
             raise SetSpecError(f"bad term {term!r}: {exc}") from exc
     return validate_union(parts)

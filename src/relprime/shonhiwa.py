@@ -1,11 +1,11 @@
 """Constrained coprime tuple counts over [1, n].
 
-Five thin calls into the Möbius-sum core (counting.tuple_sum), whose
-kernel here is floor(n/d), the count of multiples of d in [1, n].  The
-modulus variants (S, L, T) walk the squarefree divisors of m, where
-terms with d > n vanish; the unconstrained variants (G, H) walk every
-squarefree d up to n, which is the same sum with m replaced by any
-multiple of all primes up to n, and weigh each distinct floor(n/d) once.
+Five thin calls into the Möbius-sum core, counting.divisor_sum (through
+tuple_sum), whose kernel here is floor(n/d), the count of multiples of d
+in [1, n].  The modulus variants (S, L, T) walk the squarefree divisors
+of m, where terms with d > n vanish; the unconstrained variants (G, H)
+walk every squarefree d up to n, which is the same sum with m replaced
+by any multiple of all primes up to n.
 """
 
 from .counting import binomial, tuple_sum

@@ -17,10 +17,9 @@ from hypothesis import HealthCheck, settings
 from relprime import (
     OverlapError,
     Progression,
-    mod_inverse,
     validate_union,
 )
-from relprime.numtheory import squarefree_divisors
+from relprime.numtheory import mod_inverse, squarefree_divisors
 
 settings.register_profile(
     "suite",
@@ -79,8 +78,8 @@ def element_divisor_terms(X, modulus) -> list:
     """Pairs (d, mu(d)) over squarefree d dividing gcd(x, modulus) for
     some x in X, ascending; a modulus of None leaves x itself.
 
-    These are exactly the terms of divisor_terms(modulus, max X) with
-    |X_d| > 0, found by factoring each element instead of sieving.
+    These are exactly the terms with |X_d| > 0 of the walk divisor_sum
+    takes to max X, found by factoring each element instead of sieving.
     """
     terms = {}
     for part in X.parts:

@@ -14,7 +14,6 @@ from relprime import (
     Progression,
     brute_tuples,
     count_ap_multiples,
-    divisors_with_mu,
     f,
     f_k,
     g_count,
@@ -25,13 +24,12 @@ from relprime import (
     nathanson_phi,
     phi,
     phi_k,
-    primorial_up_to,
-    radical,
     s_count,
     subset_gcd_histogram,
     t_count,
     validate_union,
 )
+from relprime.numtheory import divisors_with_mu, primorial_up_to, radical
 from conftest import (
     coprime_floor_eps_count,
     floor_eps_count,

@@ -1,6 +1,7 @@
 """Command-line behaviour: records, formats, exit codes, config."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -140,6 +141,14 @@ def test_bad_flag_values_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_integer_past_the_digit_limit_in_a_set_exits_2(capsys):
+    # int() refuses more than 4300 digits with a ValueError of its own
+    code, out, err = run(capsys, "count", "f", "--set", "1.." + "9" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("relprime: bad term")
+
+
 def test_overlap_exits_3(capsys):
     code, _, err = run(capsys, "count", "f", "--set", "1..5 + 3..4")
     assert code == 3
@@ -171,6 +180,27 @@ def test_memory_error_and_interrupt_exit_cleanly(capsys, monkeypatch, raised,
     assert status == code
     assert out == ""
     assert err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a sieve to 10^20 is past the largest array numpy can index
+        ("count", "G", "--n", str(10**20), "--k", "2"),
+        ("count", "fk", "--set", f"1..{10**20}", "--k", "3"),
+        # the modulus walk never sieves, but 2^(10^20) has too many digits
+        ("count", "phi", "--set", f"1..{10**20}", "--n", "6"),
+    ],
+    ids=("G", "fk", "phi"),
+)
+def test_sizes_too_large_to_represent_exit_4(capsys, argv):
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert err.startswith("relprime: too large to represent")
+    assert "Traceback" not in err
 
 
 def test_budget_env_and_flag_precedence(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from relprime import (
     DomainError,
     Progression,
-    binomial,
     brute_f,
     brute_f_k,
     brute_phi,
@@ -17,17 +16,15 @@ from relprime import (
     f,
     f_k,
     interval,
-    mobius_sum,
     nathanson_f,
     nathanson_phi,
     parse_set_spec,
     phi,
     phi_k,
-    power_of_two_minus_one,
-    primorial_up_to,
-    radical,
     validate_union,
 )
+from relprime.counting import binomial, mobius_sum, power_of_two_minus_one
+from relprime.numtheory import primorial_up_to, radical
 from conftest import random_union
 
 

@@ -1,29 +1,32 @@
-"""The three divisor sources against their definitions and each other.
+"""The divisor sources against their definitions and each other.
 
-subset_sum takes small sets from the divisors their elements share
-instead of sieving to max X.  That source is called directly here on
-the same inputs as its references: conftest's element_divisor_terms,
-the former source that factors every element whole; the walk from
-divisor_terms wherever it is affordable; and the oracle wherever the
-set is small enough to enumerate.  The modulus source is checked
-against the definition of its terms, and the grouped sieve walk
-against the per-term sum it replaces.
+divisor_sum, the one walk behind every counter, is checked against the
+sum built from single Möbius values on both of its streams.  subset_sum
+takes small sets from the divisors their elements share instead of
+sieving to max X.  That source is called directly here on the same
+inputs as its references: conftest's element_divisor_terms, the former
+source that factors every element whole; the per-term walk from
+divisor_terms below wherever it is affordable; and the oracle wherever
+the set is small enough to enumerate.  The modulus source is checked
+against the definition of its terms, and the grouped sieve walk against
+the per-term sum it replaces.
 """
 
 import json
 import random
 from collections import Counter
+from functools import partial
 from math import gcd, isqrt
+from operator import floordiv
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relprime import (
     Progression,
     OverlapError,
-    binomial,
     brute_f,
     brute_f_k,
     brute_phi,
@@ -34,18 +37,25 @@ from relprime import (
     f_k,
     g_count,
     h_count,
-    moebius,
+    interval,
     numtheory,
     parse_set_spec,
     phi,
     phi_k,
-    power_of_two_minus_one,
-    primorial_up_to,
-    squarefree_divisor_terms,
     subset_gcd_histogram,
     validate_union,
 )
-from relprime.counting import divisor_terms, mobius_sum, shared_divisor_sum, shared_divisor_terms
+from relprime.counting import (
+    binomial,
+    divisor_sum,
+    mobius_sum,
+    power_of_two_minus_one,
+    shared_divisor_sum,
+    shared_divisor_terms,
+    subset_sum,
+    tuple_sum,
+)
+from relprime.numtheory import moebius, primorial_up_to, squarefree_divisor_terms
 from relprime.setmodel import enumerate_elements, union_multiples
 from conftest import element_divisor_terms, random_union
 
@@ -59,6 +69,15 @@ REFERENCE_SIEVE_LIMIT = 2 * 10**6
 ORACLE_SIZE_LIMIT = 22
 
 PATHOLOGICAL = ("10000000..10000002", "1000000000000..1000000000002")
+
+
+def divisor_terms(modulus, bound):
+    """The (d, mu(d)) pairs divisor_sum walks, one by one: every squarefree
+    d <= bound off the sieve with no modulus, else the squarefree divisors
+    d <= bound of the modulus."""
+    if modulus is None:
+        return numtheory.moebius_sieve(bound).nonzero_terms()
+    return squarefree_divisor_terms(modulus, bound)
 
 
 def mobius_total(terms, X, weight):
@@ -331,3 +350,62 @@ def test_grouped_walk_equals_direct_sum_for_tuples():
         for k in range(1, 5):
             assert g_count(n, k) == direct_tuple_sum(n, lambda q: q**k), (n, k)
             assert h_count(n, k) == direct_tuple_sum(n, lambda q: binomial(q + k - 1, k)), (n, k)
+
+
+def sum_by_definition(modulus, bound, kernel, weight):
+    """Sum of mu(d) * weight(kernel(d)) over d <= bound that divide the
+    modulus (every d with no modulus), from single Möbius values."""
+    return sum(
+        moebius(d) * weight(kernel(d))
+        for d in range(1, bound + 1)
+        if modulus is None or modulus % d == 0
+    )
+
+
+KERNELS = {
+    "floor": lambda bound: partial(floordiv, bound),
+    # not monotone in d: each value comes back after a gap
+    "residue": lambda bound: lambda d: (7 * d) % 5,
+}
+
+TUPLE_WEIGHTS = {
+    "2^q - 1": lambda k: power_of_two_minus_one,
+    "q^k": lambda k: lambda q: q**k,
+    "C(q+k-1,k)": lambda k: lambda q: binomial(q + k - 1, k),
+    "C(q,k)": lambda k: lambda q: binomial(q, k),
+}
+
+
+@settings(max_examples=150)
+@given(
+    modulus=st.sampled_from(MODULI + (HUGE_MODULUS,)),
+    bound=st.integers(1, 1500),
+    kernel=st.sampled_from(sorted(KERNELS)),
+    weight=st.sampled_from(sorted(TUPLE_WEIGHTS)),
+    k=st.integers(1, 4),
+)
+# past 274177, the smaller prime of 2^64 + 1
+@example(modulus=HUGE_MODULUS, bound=300000, kernel="floor", weight="C(q,k)", k=2)
+@example(modulus=HUGE_MODULUS, bound=300000, kernel="residue", weight="q^k", k=3)
+def test_divisor_sum_matches_its_definition(modulus, bound, kernel, weight, k):
+    kernel, weight = KERNELS[kernel](bound), TUPLE_WEIGHTS[weight](k)
+    expected = sum_by_definition(modulus, bound, kernel, weight)
+    if expected < 0:
+        # a negative sum is never a count, so the walk refuses it
+        with pytest.raises(ArithmeticError):
+            divisor_sum(modulus, bound, kernel, weight)
+    else:
+        assert divisor_sum(modulus, bound, kernel, weight) == expected
+
+
+@settings(max_examples=100)
+@given(
+    modulus=st.sampled_from(MODULI + (HUGE_MODULUS,)),
+    n=st.integers(1, 3000),
+    weight=st.sampled_from(sorted(TUPLE_WEIGHTS)),
+    k=st.integers(1, 4),
+)
+def test_tuple_sum_is_the_subset_sum_over_one_to_n(modulus, n, weight, k):
+    weight = TUPLE_WEIGHTS[weight](k)
+    one_to_n = validate_union([interval(1, n)])
+    assert tuple_sum(n, modulus, weight) == subset_sum(one_to_n, modulus, weight)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relprime import (
-    DomainError,
+from relprime import DomainError
+from relprime.numtheory import (
     divisors_with_mu,
     factorize,
     mod_inverse,

@@ -19,13 +19,11 @@ from relprime import (
     enumerate_elements,
     f,
     interval,
-    moebius,
     parse_set_spec,
-    primes_up_to,
-    primorial_up_to,
     subset_gcd_histogram,
     validate_union,
 )
+from relprime.numtheory import moebius, primes_up_to, primorial_up_to
 from relprime import _kernels
 from conftest import random_union, subsets_recount, tuples_recount
 

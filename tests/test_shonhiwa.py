@@ -6,19 +6,18 @@ import pytest
 
 from relprime import (
     DomainError,
-    binomial,
     brute_tuples,
     g_count,
     h_count,
     interval,
     l_count,
     phi_k,
-    primorial_up_to,
-    radical,
     s_count,
     t_count,
     validate_union,
 )
+from relprime.counting import binomial
+from relprime.numtheory import primorial_up_to, radical
 
 
 def test_s_count_examples():
