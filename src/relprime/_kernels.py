@@ -12,9 +12,12 @@ whatever the budget, while their time still grows with 2^|X| and with
 the tuple space.  Integers of any size take the same path: gcds that
 fit int64 run on int64 arrays, and past int64 on object arrays of
 Python ints, which np.gcd takes as well.  Every function returns the
-same integers its definition does, and the formula paths never touch
-these arrays except through the sieve tables, which numtheory converts
-to Python ints once.
+same integers its definition does.
+
+The formula paths touch these arrays only through the Möbius table:
+numtheory caches the int8 array moebius_values returns, made
+read-only, and each walk over it converts the nonzero entries it reads
+to Python ints.
 
 numpy is imported inside each function that builds arrays, never at
 module level, so importing the package loads no numpy: it is loaded on

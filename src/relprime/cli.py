@@ -261,7 +261,10 @@ def _record(function, spec, n, k, m, result, verified, elapsed_ms):
         record["k"] = k
     if m is not None:
         record["m"] = m
-    record["result"] = str(result)
+    try:
+        record["result"] = str(result)
+    except ValueError as exc:  # past sys.get_int_max_str_digits() digits
+        raise OverflowError(f"{exc} (the result has {result.bit_length()} bits)") from exc
     if verified is not None:
         record["verified"] = verified
     record["elapsed_ms"] = elapsed_ms

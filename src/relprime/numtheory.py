@@ -1,21 +1,20 @@
 """Möbius function, divisor enumeration, and small factoring utilities.
 
 Everything works on plain Python integers so results stay exact at any
-size.  The prime and Möbius sieves are the only array-backed pieces:
-both run the one numpy prime sieve in _kernels and convert to Python
-ints once, so their entries never leak fixed-width scalars into
-big-integer sums; they are also the only functions here that load
-numpy.  Factoring has one trial-division loop, _prime_divisors, behind
-factorize and the squarefree divisor walks.  It stays pure Python: past
-2^16 it stops at a leftover that a Miller-Rabin test on the bases up to
-41 proves prime, exact below 3317044064679887385961981, so no probable
-prime ever enters a count.
+size.  The prime and Möbius sieves are the only array-backed pieces,
+and the only functions here that load numpy: both run the one numpy
+prime sieve in _kernels.  The Möbius table is cached as that int8
+array, read-only because every caller shares it; each walk converts
+the nonzero entries it reads to Python ints, so fixed-width scalars
+never leak into big-integer sums.  Factoring has one trial-division
+loop, _prime_divisors, behind factorize and the squarefree divisor
+walks.  It stays pure Python: past 2^16 it stops at a leftover that a
+Miller-Rabin test on the bases up to 41 proves prime, exact below
+3317044064679887385961981, so no probable prime ever enters a count.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import itemgetter
 
 from . import _kernels
 from .errors import DomainError
@@ -28,31 +27,15 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_BOUND = 3317044064679887385961981
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
-    """Sieved mu(d) for 1 <= d <= limit; index 0 is an unused filler."""
-
-    limit: int
-    values: tuple
-
-    def __getitem__(self, d: int) -> int:
-        if not 1 <= d <= self.limit:
-            raise DomainError(f"d={d} outside sieve range 1..{self.limit}")
-        return self.values[d]
-
-    def nonzero_terms(self):
-        """Lazy iterator of (d, mu(d)) over squarefree d, ascending."""
-        # the filler at index 0 is zero, so the filter drops it too
-        return filter(itemgetter(1), enumerate(self.values))
-
-
 @lru_cache(maxsize=8)
-def moebius_sieve(limit: int) -> MoebiusTable:
-    """Sieve mu(1)..mu(limit) in one pass."""
+def moebius_sieve(limit: int):
+    """mu[0..limit] as a read-only int8 array, sieved in one pass;
+    mu[0] is a filler zero."""
     if limit < 1:
         raise DomainError(f"sieve limit must be >= 1, got {limit}")
-    raw = _kernels.moebius_values(limit)
-    return MoebiusTable(limit, tuple(int(v) for v in raw))
+    mu = _kernels.moebius_values(limit)
+    mu.flags.writeable = False
+    return mu
 
 
 def factorize(n: int) -> list:
@@ -94,17 +77,6 @@ def divisors_with_mu(n: int) -> tuple:
     return tuple(entries)
 
 
-def squarefree_divisors(n: int) -> list:
-    """All (d, mu(d)) pairs over squarefree divisors d of n, ascending.
-
-    Each is a product of a subset of the distinct primes of n, with
-    mu(d) = (-1)^(number of primes); repeated prime powers never enter.
-    """
-    if n < 1:
-        raise DomainError(f"cannot factor {n}; need a positive integer")
-    return _squarefree_products(n, n)
-
-
 def squarefree_divisor_terms(n: int, bound: int) -> list:
     """Pairs (d, mu(d)) over squarefree divisors d <= bound of n, ascending.
 
@@ -120,11 +92,6 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
     cap = min(n, bound)
     if cap < 1:
         return []
-    return _squarefree_products(n, cap)
-
-
-def _squarefree_products(n: int, cap: int) -> list:
-    """(d, mu(d)) over squarefree d | n with d <= cap, ascending."""
     terms = [(1, 1)]
     for p in _prime_divisors(n, cap):
         terms += [(d * p, -mu) for d, mu in terms if d * p <= cap]
@@ -183,16 +150,6 @@ def _proven_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def mod_inverse(b: int, d: int) -> int:
-    """The x in [0, d) with b*x = 1 (mod d); 0 when d = 1."""
-    if d < 1:
-        raise DomainError(f"modulus must be a positive integer, got {d}")
-    try:
-        return pow(b, -1, d)
-    except ValueError:
-        raise DomainError(f"{b} has no inverse modulo {d}") from None
 
 
 def primes_up_to(x: int) -> list:

@@ -12,7 +12,6 @@ from itertools import chain
 from math import gcd
 
 from .errors import BudgetExceededError, DomainError, OverlapError, SetSpecError
-from .numtheory import mod_inverse
 
 ENUMERATION_CAP = 10**6
 
@@ -91,7 +90,7 @@ def count_ap_multiples(p: Progression, d: int) -> int:
     if p.first % k:
         return 0
     dk = d // k
-    x0 = (-(p.first // k) * mod_inverse(p.step // k, dk)) % dk
+    x0 = (-(p.first // k) * pow(p.step // k, -1, dk)) % dk
     if x0 > p.length - 1:
         return 0
     return (p.length - 1 - x0) // dk + 1
@@ -114,7 +113,7 @@ def _common_element(p: Progression, q: Progression):
     if (q.first - p.first) % g:
         return None
     m2 = q.step // g
-    t = (q.first - p.first) // g * mod_inverse(p.step // g, m2) % m2
+    t = (q.first - p.first) // g * pow(p.step // g, -1, m2) % m2
     x = p.first + p.step * t
     period = p.step // g * q.step
     lo = max(p.first, q.first)
@@ -169,9 +168,17 @@ def parse_set_spec(text: str) -> ProgressionUnion:
         elif match := _AP_RE.fullmatch(term):
             builder = Progression
         else:
-            raise SetSpecError(f"cannot parse term {term!r}")
+            raise SetSpecError(f"cannot parse term {_shown(term)}")
         try:
             parts.append(builder(*map(int, match.groups())))
         except ValueError as exc:  # DomainError, or int() past its digit limit
-            raise SetSpecError(f"bad term {term!r}: {exc}") from exc
+            raise SetSpecError(f"bad term {_shown(term)}: {exc}") from exc
     return validate_union(parts)
+
+
+def _shown(term: str) -> str:
+    """repr(term), or past 80 characters its first 40 and its length, so
+    a huge term is never echoed whole."""
+    if len(term) <= 80:
+        return repr(term)
+    return f"{term[:40]!r}... ({len(term)} characters)"

@@ -19,7 +19,7 @@ from relprime import (
     Progression,
     validate_union,
 )
-from relprime.numtheory import mod_inverse, squarefree_divisors
+from relprime.numtheory import squarefree_divisor_terms
 
 settings.register_profile(
     "suite",
@@ -50,7 +50,7 @@ def floor_eps_count(p: Progression, d: int) -> int:
     eps = 0
     if m * k % d:
         dk = d // k
-        residue = (-(a // k) * mod_inverse(b // k, dk)) % dk
+        residue = (-(a // k) * pow(b // k, -1, dk)) % dk
         if residue <= m - 1 - (m - 1) * k // d * dk:
             eps = 1
     return base + eps
@@ -68,7 +68,7 @@ def coprime_floor_eps_count(p: Progression, d: int) -> int:
     base = m // d
     eps = 0
     if m % d:
-        residue = (-a * mod_inverse(b, d)) % d
+        residue = (-a * pow(b, -1, d)) % d
         if residue <= m - base * d - 1:
             eps = 1
     return base + eps
@@ -84,7 +84,8 @@ def element_divisor_terms(X, modulus) -> list:
     terms = {}
     for part in X.parts:
         for x in part.elements():
-            terms.update(squarefree_divisors(x if modulus is None else gcd(x, modulus)))
+            r = x if modulus is None else gcd(x, modulus)
+            terms.update(squarefree_divisor_terms(r, r))
     return sorted(terms.items())
 
 

@@ -147,6 +147,9 @@ def test_integer_past_the_digit_limit_in_a_set_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("relprime: bad term")
+    # the term is shown by its head and its length, not echoed whole
+    assert len(err) < 400
+    assert "(5003 characters)" in err
 
 
 def test_overlap_exits_3(capsys):
@@ -200,6 +203,18 @@ def test_sizes_too_large_to_represent_exit_4(capsys, argv):
     assert code == 4
     assert out == ""
     assert err.startswith("relprime: too large to represent")
+    assert "Traceback" not in err
+
+
+def test_result_past_the_digit_limit_exits_4(capsys):
+    # f([1, 20000]) has 20000 bits, past str()'s 4300-digit limit
+    start = perf_counter()
+    code, out, err = run(capsys, "count", "f", "--set", "1..20000")
+    assert perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert err.startswith("relprime: too large to represent")
+    assert "4300 digits" in err and "20000 bits" in err
     assert "Traceback" not in err
 
 

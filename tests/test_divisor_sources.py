@@ -76,7 +76,7 @@ def divisor_terms(modulus, bound):
     d <= bound off the sieve with no modulus, else the squarefree divisors
     d <= bound of the modulus."""
     if modulus is None:
-        return numtheory.moebius_sieve(bound).nonzero_terms()
+        return [(d, mu) for d, mu in enumerate(numtheory.moebius_sieve(bound).tolist()) if mu]
     return squarefree_divisor_terms(modulus, bound)
 
 
@@ -350,6 +350,32 @@ def test_grouped_walk_equals_direct_sum_for_tuples():
         for k in range(1, 5):
             assert g_count(n, k) == direct_tuple_sum(n, lambda q: q**k), (n, k)
             assert h_count(n, k) == direct_tuple_sum(n, lambda q: binomial(q + k - 1, k)), (n, k)
+
+
+def test_sieve_stream_hands_only_python_ints_to_the_walk(monkeypatch):
+    # the sieve is an int8 array; a numpy scalar reaching the kernel or
+    # the grouping would wrap around in the kernel's and weight's arithmetic
+    streamed = []
+    group = counting.grouped
+
+    def spy(terms, kernel, weight):
+        terms = list(terms)
+        streamed.extend(terms)
+        return group(terms, kernel, weight)
+
+    monkeypatch.setattr(counting, "grouped", spy)
+    kernel_args = []
+
+    def kernel(d):
+        kernel_args.append(d)
+        return 3000 // d
+
+    total = divisor_sum(None, 3000, kernel, lambda q: q**5)
+    assert total == sum_by_definition(None, 3000, kernel, lambda q: q**5)
+    assert streamed == [(d, moebius(d)) for d in range(1, 3001) if moebius(d)]
+    assert all(type(d) is int and type(mu) is int for d, mu in streamed)
+    assert kernel_args[: len(streamed)] == [d for d, _ in streamed]
+    assert all(type(d) is int for d in kernel_args)
 
 
 def sum_by_definition(modulus, bound, kernel, weight):

@@ -1,9 +1,10 @@
-"""Möbius, divisor, and modular-arithmetic building blocks."""
+"""Möbius, divisor, and factoring building blocks."""
 
 from collections import Counter
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from relprime import DomainError
 from relprime.numtheory import (
     divisors_with_mu,
     factorize,
-    mod_inverse,
     moebius,
     moebius_sieve,
     primes_up_to,
@@ -33,20 +33,22 @@ def test_sieve_small_values():
 
 
 def test_sieve_limit_one():
-    assert moebius_sieve(1).values == (0, 1)
+    assert moebius_sieve(1).tolist() == [0, 1]
+
+
+def test_sieve_is_a_shared_read_only_int8_array():
+    table = moebius_sieve(30)
+    assert table.dtype == np.int8
+    assert table.shape == (31,)
+    with pytest.raises(ValueError):
+        table[6] = 0
+    assert moebius_sieve(30) is table
+    assert table[6] == 1
 
 
 def test_sieve_rejects_zero():
     with pytest.raises(DomainError):
         moebius_sieve(0)
-
-
-def test_sieve_index_bounds():
-    table = moebius_sieve(5)
-    with pytest.raises(DomainError):
-        table[0]
-    with pytest.raises(DomainError):
-        table[6]
 
 
 def test_sieve_matches_single_value():
@@ -91,28 +93,6 @@ def test_factorize():
     assert factorize(97) == [(97, 1)]
     with pytest.raises(DomainError):
         factorize(0)
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    for d in (2, 5, 9, 101):
-        assert mod_inverse(1, d) == 1
-    assert mod_inverse(5, 1) == 0
-    with pytest.raises(DomainError):
-        mod_inverse(2, 4)
-    with pytest.raises(DomainError):
-        mod_inverse(3, 0)
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
-def test_mod_inverse_roundtrip(b, d):
-    if gcd(b, d) != 1:
-        with pytest.raises(DomainError):
-            mod_inverse(b, d)
-    else:
-        x = mod_inverse(b, d)
-        assert 0 <= x < d
-        assert (b * x) % d == 1 % d
 
 
 def test_primes_and_primorial():
@@ -185,9 +165,7 @@ def test_squarefree_divisors_are_the_nonzero_divisor_terms():
     cases = [*range(1, 300), 720, 510510, 2**40, 3**25, 10**12, 999983 * 999979]
     for n in cases:
         want = [(d, mu) for d, mu in divisors_with_mu(n) if mu != 0]
-        assert numtheory.squarefree_divisors(n) == want
-    with pytest.raises(DomainError):
-        numtheory.squarefree_divisors(0)
+        assert squarefree_divisor_terms(n, n) == want
 
 
 def factor_by_trial(n):
