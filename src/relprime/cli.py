@@ -2,7 +2,10 @@
 
 All three read one registry, _FUNCTIONS, which maps each function name
 to its parameters, its formula, its oracle and, for the tuple counters,
-the ordering the oracle enumerates.
+the ordering the oracle enumerates.  All three run one query path:
+count and verify make one query, seq one per n of its range, and each
+query is evaluated, checked against the oracle when verifying, recorded
+and emitted before the next one starts.
 
 Records go to stdout as JSON lines (one object per query) or, with
 --tsv, as headerless tab-separated rows.  Counts are rendered as decimal
@@ -10,7 +13,10 @@ strings so arbitrarily large values survive 64-bit JSON parsers.
 
 Exit codes: 0 success, 2 usage or parse error, 3 overlapping union,
 4 oracle budget exceeded, out of memory or a size too large to
-represent, 5 failed sequence check, 6 verify mismatch, 130 interrupted.
+represent, 5 failed sequence check, 6 verify mismatch, 130 interrupted,
+141 stdout closed early (a broken pipe; nothing is printed).  Error
+messages show an integer of more than 80 digits by its first 20 and its
+digit count.
 """
 
 import argparse
@@ -63,36 +69,37 @@ class _CheckFailed(Exception):
     """A --check-* assertion found a counterexample; maps to exit code 5."""
 
 
+class _Mismatch(Exception):
+    """The oracle's recount differs from the formula; maps to exit code 6."""
+
+
+# exception -> (exit code, message, with "{}" standing for the exception's
+# text); main catches these, and _fail reports the first row that matches
+_ERRORS = (
+    (_UsageError, EXIT_USAGE, "{}"),
+    (SetSpecError, EXIT_USAGE, "{}"),
+    (DomainError, EXIT_USAGE, "{}"),
+    (OverlapError, EXIT_OVERLAP, "{}"),
+    (BudgetExceededError, EXIT_BUDGET, "{}"),
+    (_CheckFailed, EXIT_CHECK_FAILED, "{}"),
+    (_Mismatch, EXIT_VERIFY_MISMATCH, "{}"),
+    (MemoryError, EXIT_BUDGET, "out of memory; try a smaller set, range or budget"),
+    (OverflowError, EXIT_BUDGET, "too large to represent: {}"),
+    (KeyboardInterrupt, EXIT_INTERRUPTED, "interrupted"),
+    # stdout's reader has gone, so say nothing; 128 + SIGPIPE is the
+    # status shells report for a writer that a closed pipe stopped
+    (BrokenPipeError, 141, None),
+)
+
+_LONG_INT_RE = re.compile(r"\d{81,}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "count":
-            return _run_query(args, verify=args.verify)
-        if args.command == "verify":
-            return _run_query(args, verify=True)
-        return _run_seq(args)
-    except (_UsageError, SetSpecError, DomainError) as exc:
-        print(f"relprime: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OverlapError as exc:
-        print(f"relprime: {exc}", file=sys.stderr)
-        return EXIT_OVERLAP
-    except BudgetExceededError as exc:
-        print(f"relprime: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except _CheckFailed as exc:
-        print(f"relprime: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except MemoryError:
-        print("relprime: out of memory; try a smaller set, range or budget",
-              file=sys.stderr)
-        return EXIT_BUDGET
-    except OverflowError as exc:
-        print(f"relprime: too large to represent: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except KeyboardInterrupt:
-        print("relprime: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return _run(args)
+    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        return _fail(exc)
 
 
 @cache  # built once per process; main parses every call with it
@@ -102,40 +109,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count relatively prime subsets and constrained coprime "
         "tuples of finite integer sets, exactly.",
     )
+    # flags that only some subcommands take read as off in the others
+    parser.set_defaults(verify=False, check_mod3=False, check_nonsquare=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    output = argparse.ArgumentParser(add_help=False)
-    fmt = output.add_mutually_exclusive_group()
+    function = argparse.ArgumentParser(add_help=False)
+    function.add_argument("function", choices=sorted(_FUNCTIONS))
+    fmt = function.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON lines output (default)")
     fmt.add_argument("--tsv", action="store_true", help="tab-separated output")
-    output.add_argument("--config", metavar="PATH", help="key=value settings file")
+    function.add_argument("--config", metavar="PATH", help="key=value settings file")
 
-    params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--set", dest="set_spec", metavar="SPEC",
-                        help="ground set, e.g. '1..9 + ap(10,3,4)'")
-    params.add_argument("--n", type=_flag_int, help="modulus or range bound")
-    params.add_argument("--k", type=_flag_int, help="subset or tuple size")
-    params.add_argument("--m", type=_flag_int, help="coprimality modulus")
+    query = argparse.ArgumentParser(add_help=False, parents=[function])
+    query.add_argument("--set", dest="set_spec", metavar="SPEC",
+                       help="ground set, e.g. '1..9 + ap(10,3,4)'")
+    query.add_argument("--n", type=_flag_int, help="modulus or range bound")
+    query.add_argument("--k", type=_flag_int, help="subset or tuple size")
+    query.add_argument("--m", type=_flag_int, help="coprimality modulus")
+    query.add_argument("--budget-subsets", type=_flag_int, metavar="N",
+                       help="largest |X| the oracle will enumerate")
+    query.add_argument("--budget-tuples", type=_flag_int, metavar="N",
+                       help="largest tuple space the oracle will enumerate")
 
-    budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--budget-subsets", type=_flag_int, metavar="N",
-                         help="largest |X| the oracle will enumerate")
-    budgets.add_argument("--budget-tuples", type=_flag_int, metavar="N",
-                         help="largest tuple space the oracle will enumerate")
-
-    count = sub.add_parser("count", parents=[params, budgets, output],
-                           help="evaluate one counting function")
-    count.add_argument("function", choices=sorted(_FUNCTIONS))
+    count = sub.add_parser("count", parents=[query], help="evaluate one counting function")
     count.add_argument("--verify", action="store_true",
                        help="also recount with the brute-force oracle")
+    sub.add_parser("verify", parents=[query], help="evaluate and compare against the oracle"
+                   ).set_defaults(verify=True)
 
-    verify = sub.add_parser("verify", parents=[params, budgets, output],
-                            help="evaluate and compare against the oracle")
-    verify.add_argument("function", choices=sorted(_FUNCTIONS))
-
-    seq = sub.add_parser("seq", parents=[output],
+    seq = sub.add_parser("seq", parents=[function],
                          help="emit a function's values for n in a range")
-    seq.add_argument("function", choices=sorted(_FUNCTIONS))
     seq.add_argument("range", metavar="RANGE", help="sweep of n, e.g. 1..10")
     seq.add_argument("--k", type=_flag_int, help="fixed tuple or subset size")
     seq.add_argument("--m", type=_flag_int, help="fixed coprimality modulus")
@@ -150,60 +153,58 @@ def _flag_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {_shortened(repr(text))}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {_shortened(repr(text))}")
     return value
 
 
-def _run_query(args, verify: bool) -> int:
-    config = _load_config(args.config)
-    fmt = _resolve_format(args, config)
+def _run(args) -> int:
+    """Evaluate, record and emit each (spec, values) query of the command."""
+    settings = _load_settings(args)
     name = args.function
     needs = _FUNCTIONS[name][0]
+    # in seq the range supplies the set and n
+    given = {"k": args.k, "m": args.m}
+    if args.command != "seq":
+        given.update(set=args.set_spec, n=args.n)
+    for flag, value in given.items():
+        if (value is None) == (flag in needs):
+            verb = "requires" if value is None else "does not take"
+            raise _UsageError(f"{args.command} {name} {verb} --{flag}")
 
-    set_union = None
-    if "set" in needs:
-        if args.set_spec is None:
-            raise _UsageError(f"{name} requires --set")
-        set_union = parse_set_spec(args.set_spec)
-    elif args.set_spec is not None:
-        raise _UsageError(f"{name} does not take --set")
-    for flag in ("n", "k", "m"):
-        given = getattr(args, flag)
-        if flag in needs and given is None:
-            raise _UsageError(f"{name} requires --{flag}")
-        if flag not in needs and given is not None:
-            raise _UsageError(f"{name} does not take --{flag}")
-
-    values = {"set": set_union, "n": args.n, "k": args.k, "m": args.m}
-    started = time.perf_counter()
-    value = _formula(name, values)
-    verified = None
-    if verify:
-        budget = _resolve_budget(args, config)
-        verified = _oracle(name, values, budget) == value
-    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
-
-    record = _record(name, args.set_spec, args.n, args.k, args.m,
-                     value, verified, elapsed_ms)
-    _emit(record, fmt)
-    if verified is False:
-        print(f"relprime: oracle disagrees with the formula for {name}",
-              file=sys.stderr)
-        return EXIT_VERIFY_MISMATCH
+    for spec, values in _queries(args, needs):
+        started = time.perf_counter()
+        value = _formula(name, values)
+        verified = None
+        if args.verify:
+            verified = _oracle(name, values, _resolve_budget(args, settings)) == value
+        elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
+        n = values["n"]
+        _emit(_record(name, spec, n, args.k, args.m, value, verified, elapsed_ms),
+              settings["output"])
+        if verified is False:
+            raise _Mismatch(f"oracle disagrees with the formula for {name}")
+        if args.check_mod3 and n >= 3 and value % 3 != 0:
+            raise _CheckFailed(f"phi({n}) = {value} is not divisible by 3")
+        if args.check_nonsquare and n >= 2 and isqrt(value) ** 2 == value:
+            raise _CheckFailed(f"f({n}) = {value} is a perfect square")
     return EXIT_OK
 
 
-def _run_seq(args) -> int:
-    config = _load_config(args.config)
-    fmt = _resolve_format(args, config)
-    name = args.function
-    if args.check_mod3 and name != "phi":
+def _queries(args, needs):
+    """(spec, formula arguments by parameter) of each query: one for count
+    and verify, one per n of the range for seq, with [1, n] as its set."""
+    if args.command != "seq":
+        set_union = parse_set_spec(args.set_spec) if "set" in needs else None
+        yield args.set_spec, {"set": set_union, "n": args.n, "k": args.k, "m": args.m}
+        return
+    if args.check_mod3 and args.function != "phi":
         raise _UsageError("--check-mod3 only applies to phi")
-    if args.check_nonsquare and name != "f":
+    if args.check_nonsquare and args.function != "f":
         raise _UsageError("--check-nonsquare only applies to f")
-
     match = _RANGE_RE.fullmatch(args.range.strip())
     if not match:
         raise _UsageError(f"cannot parse range {args.range!r}; expected lo..hi")
@@ -212,29 +213,29 @@ def _run_seq(args) -> int:
         raise _UsageError("sequence range must start at 1 or above")
     if lo > hi:
         raise _UsageError(f"empty range {args.range!r}")
-
-    params = _FUNCTIONS[name][0]
-    fixed = [flag for flag in ("k", "m") if flag in params]
-    for flag in fixed:
-        if getattr(args, flag) is None:
-            raise _UsageError(f"seq {name} requires --{flag}")
-    for flag in ("k", "m"):
-        if flag not in fixed and getattr(args, flag) is not None:
-            raise _UsageError(f"seq {name} does not take --{flag}")
-
     for n in range(lo, hi + 1):
-        started = time.perf_counter()
-        one_to_n = validate_union([interval(1, n)]) if "set" in params else None
-        value = _formula(name, {"set": one_to_n, "n": n, "k": args.k, "m": args.m})
-        elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
-        spec = f"1..{n}" if "set" in params else None
-        record = _record(name, spec, n, args.k, args.m, value, None, elapsed_ms)
-        _emit(record, fmt)
-        if args.check_mod3 and n >= 3 and value % 3 != 0:
-            raise _CheckFailed(f"phi({n}) = {value} is not divisible by 3")
-        if args.check_nonsquare and n >= 2 and isqrt(value) ** 2 == value:
-            raise _CheckFailed(f"f({n}) = {value} is a perfect square")
-    return EXIT_OK
+        one_to_n = validate_union([interval(1, n)]) if "set" in needs else None
+        spec = f"1..{n}" if "set" in needs else None
+        yield spec, {"set": one_to_n, "n": n, "k": args.k, "m": args.m}
+
+
+def _fail(exc) -> int:
+    """Report exc by its row of _ERRORS on stderr and return its exit code."""
+    code, message = next((code, message) for kind, code, message in _ERRORS
+                         if isinstance(exc, kind))
+    if message is None:
+        # the interpreter flushes stdout again on exit; let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    else:
+        print("relprime: " + _shortened(message.format(exc)), file=sys.stderr)
+    return code
+
+
+def _shortened(text: str) -> str:
+    """text with each run of more than 80 digits shown by its first 20
+    and its length, so a huge integer is never echoed whole."""
+    return _LONG_INT_RE.sub(
+        lambda digits: f"{digits[0][:20]}... ({len(digits[0])} digits)", text)
 
 
 def _formula(name, values):
@@ -275,22 +276,19 @@ def _emit(record, fmt):
     if fmt == "json":
         line = json.dumps(record, separators=(",", ":"))
     else:
-        line = "\t".join([
-            record["function"],
-            record.get("spec", ""),
-            str(record.get("n", "")),
-            str(record.get("k", "")),
-            str(record.get("m", "")),
-            record["result"],
-        ])
+        line = "\t".join(str(record.get(key, ""))
+                         for key in ("function", "spec", "n", "k", "m", "result"))
     sys.stdout.write(line + "\n")
     sys.stdout.flush()
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    settings = {}
+def _load_settings(args) -> dict:
+    """The --config file's settings, with output set by --json or --tsv
+    when given, else by the file, else json."""
+    settings = {"output": "tsv" if args.tsv else "json"}
+    if args.config is None:
+        return settings
+    path = args.config
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -309,7 +307,8 @@ def _load_config(path) -> dict:
         elif key == "output":
             if value not in ("json", "tsv"):
                 raise _UsageError(f"{path}:{lineno}: output must be json or tsv")
-            settings[key] = value
+            if not (args.json or args.tsv):
+                settings[key] = value
         else:
             raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
     return settings
@@ -317,31 +316,20 @@ def _load_config(path) -> dict:
 
 def _config_int(text, where) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise _UsageError(f"{where} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise _UsageError(f"{where} must be positive, got {value}")
-    return value
+        return _flag_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{where}: {exc}") from None
 
 
-def _resolve_format(args, config) -> str:
-    if getattr(args, "tsv", False):
-        return "tsv"
-    if getattr(args, "json", False):
-        return "json"
-    return config.get("output", "json")
-
-
-def _resolve_budget(args, config) -> OracleBudget:
+def _resolve_budget(args, settings) -> OracleBudget:
     # precedence: flag, then environment, then config, then default
-    subsets = config.get("budget_subsets", OracleBudget.max_set_size)
+    subsets = settings.get("budget_subsets", OracleBudget.max_set_size)
     env = os.environ.get(ENV_BUDGET_SUBSETS)
     if env is not None:
         subsets = _config_int(env, ENV_BUDGET_SUBSETS)
     if args.budget_subsets is not None:
         subsets = args.budget_subsets
-    tuples = config.get("budget_tuples", OracleBudget.max_tuple_space)
+    tuples = settings.get("budget_tuples", OracleBudget.max_tuple_space)
     if args.budget_tuples is not None:
         tuples = args.budget_tuples
     return OracleBudget(max_set_size=subsets, max_tuple_space=tuples)

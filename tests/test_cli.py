@@ -1,6 +1,11 @@
 """Command-line behaviour: records, formats, exit codes, config."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -64,6 +69,29 @@ def test_tsv_output(capsys):
     assert out == "f\t1..4\t\t\t\t11\n"
 
 
+def test_record_bytes_are_pinned(capsys):
+    # key order included; elapsed_ms is the one field that varies
+    cases = [
+        (("count", "phi", "--set", "1..2+5..6", "--n", "6"),
+         '{"function":"phi","spec":"1..2+5..6","n":6,"result":"12","elapsed_ms":_}\n',
+         "phi\t1..2+5..6\t6\t\t\t12\n"),
+        (("verify", "T", "--n", "4", "--k", "2", "--m", "6"),
+         '{"function":"T","n":4,"k":2,"m":6,"result":"5","verified":true,"elapsed_ms":_}\n',
+         "T\t\t4\t2\t6\t5\n"),
+        (("seq", "phik", "2..3", "--k", "2"),
+         '{"function":"phik","spec":"1..2","n":2,"k":2,"result":"1","elapsed_ms":_}\n'
+         '{"function":"phik","spec":"1..3","n":3,"k":2,"result":"3","elapsed_ms":_}\n',
+         "phik\t1..2\t2\t2\t\t1\nphik\t1..3\t3\t2\t\t3\n"),
+    ]
+    for argv, json_out, tsv_out in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert re.sub(r'"elapsed_ms":[0-9.]+}', '"elapsed_ms":_}', out) == json_out
+        code, out, _ = run(capsys, *argv, "--tsv")
+        assert code == 0
+        assert out == tsv_out
+
+
 def test_verify_flag_and_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "f", "--set", "ap(3,4,5)")
     assert code == 0
@@ -93,6 +121,24 @@ _REGISTRY_CASES = {
 }
 
 
+def _first(n):
+    return rp.parse_set_spec(f"1..{n}")
+
+
+# function -> (seq flags, the library value seq must give at n)
+_SEQ_CASES = {
+    "f": ([], lambda n: rp.f(_first(n))),
+    "fk": (["--k", "2"], lambda n: rp.f_k(_first(n), 2)),
+    "phi": ([], lambda n: rp.phi(_first(n), n)),
+    "phik": (["--k", "2"], lambda n: rp.phi_k(_first(n), n, 2)),
+    "S": (["--k", "3", "--m", "6"], lambda n: rp.s_count(n, 3, 6)),
+    "G": (["--k", "3"], lambda n: rp.g_count(n, 3)),
+    "L": (["--k", "3", "--m", "6"], lambda n: rp.l_count(n, 3, 6)),
+    "H": (["--k", "3"], lambda n: rp.h_count(n, 3)),
+    "T": (["--k", "2", "--m", "6"], lambda n: rp.t_count(n, 2, 6)),
+}
+
+
 @pytest.mark.parametrize("name", sorted(cli._FUNCTIONS))
 def test_every_function_counts_and_verifies(capsys, name):
     flags, library = _REGISTRY_CASES[name]
@@ -104,6 +150,10 @@ def test_every_function_counts_and_verifies(capsys, name):
     (record,) = json_lines(out)
     assert record["result"] == str(library())
     assert record["verified"] is True
+    seq_flags, value_at = _SEQ_CASES[name]
+    code, out, _ = run(capsys, "seq", name, "1..3", *seq_flags)
+    assert code == 0
+    assert [r["result"] for r in json_lines(out)] == [str(value_at(n)) for n in (1, 2, 3)]
 
 
 def test_verify_mismatch_exits_6(capsys, monkeypatch):
@@ -302,3 +352,47 @@ def test_seq_records_stream_in_order(capsys):
     _, out, _ = run(capsys, "seq", "G", "1..8", "--k", "3", "--tsv")
     ns = [int(line.split("\t")[2]) for line in out.splitlines()]
     assert ns == sorted(ns) == list(range(1, 9))
+
+
+_NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [
+        (f"{_NINES}..1", 2),  # the empty interval names both bounds
+        (f"5..6 + {_NINES}..{_NINES}9", 4),  # the sieve limit
+        (f"{_NINES}..{_NINES}9 + {_NINES}5..{_NINES}7", 3),  # the two parts and the witness
+    ],
+    ids=("empty", "sieve", "overlap"),
+)
+def test_messages_shorten_long_integers(capsys, spec, code):
+    status, out, err = run(capsys, "count", "f", "--set", spec)
+    assert status == code
+    assert out == ""
+    assert err.startswith("relprime:")
+    assert len(err) < 400
+    assert re.search(r"\.\.\. \(400[01] digits\)", err)
+
+
+def test_flag_values_shorten_long_integers(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["count", "G", "--n", "9" * 5000, "--k", "2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: expected an integer, got '99999999999999999999... (5000 digits)'" in err
+    assert len(err) < 800  # argparse prints the usage lines too
+
+
+def test_closed_pipe_exits_141_silently():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "relprime.cli", "seq", "G", "1..20000", "--k", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = child.stdout.readline()
+    child.stdout.close()  # the reader goes away after one record
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 141
+    assert json.loads(first)["n"] == 1
+    assert err == b""
