@@ -15,8 +15,9 @@ Exit codes: 0 success, 2 usage or parse error, 3 overlapping union,
 4 oracle budget exceeded, out of memory or a size too large to
 represent, 5 failed sequence check, 6 verify mismatch, 130 interrupted,
 141 stdout closed early (a broken pipe; nothing is printed).  Error
-messages show an integer of more than 80 digits by its first 20 and its
-digit count.
+messages show a run of more than 80 characters without whitespace or
+quotes (a huge integer, set term or flag value) by its first 40 and its
+length; library exceptions keep their full text.
 """
 
 import argparse
@@ -91,7 +92,9 @@ _ERRORS = (
     (BrokenPipeError, 141, None),
 )
 
-_LONG_INT_RE = re.compile(r"\d{81,}")
+# more than 80 characters other than whitespace and quotes: a huge
+# integer, set term or flag value that no message should echo whole
+_LONG_RUN_RE = re.compile(r"[^\s'\"]{81,}")
 
 
 def main(argv=None) -> int:
@@ -232,10 +235,10 @@ def _fail(exc) -> int:
 
 
 def _shortened(text: str) -> str:
-    """text with each run of more than 80 digits shown by its first 20
-    and its length, so a huge integer is never echoed whole."""
-    return _LONG_INT_RE.sub(
-        lambda digits: f"{digits[0][:20]}... ({len(digits[0])} digits)", text)
+    """text with each _LONG_RUN_RE run shown by its first 40 characters
+    and its length."""
+    return _LONG_RUN_RE.sub(
+        lambda run: f"{run[0][:40]}... ({len(run[0])} characters)", text)
 
 
 def _formula(name, values):

@@ -168,17 +168,9 @@ def parse_set_spec(text: str) -> ProgressionUnion:
         elif match := _AP_RE.fullmatch(term):
             builder = Progression
         else:
-            raise SetSpecError(f"cannot parse term {_shown(term)}")
+            raise SetSpecError(f"cannot parse term {term!r}")
         try:
             parts.append(builder(*map(int, match.groups())))
         except ValueError as exc:  # DomainError, or int() past its digit limit
-            raise SetSpecError(f"bad term {_shown(term)}: {exc}") from exc
+            raise SetSpecError(f"bad term {term!r}: {exc}") from exc
     return validate_union(parts)
-
-
-def _shown(term: str) -> str:
-    """repr(term), or past 80 characters its first 40 and its length, so
-    a huge term is never echoed whole."""
-    if len(term) <= 80:
-        return repr(term)
-    return f"{term[:40]!r}... ({len(term)} characters)"

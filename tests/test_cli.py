@@ -372,7 +372,7 @@ def test_messages_shorten_long_integers(capsys, spec, code):
     assert out == ""
     assert err.startswith("relprime:")
     assert len(err) < 400
-    assert re.search(r"\.\.\. \(400[01] digits\)", err)
+    assert re.search(r"\.\.\. \(400[0-9] characters\)", err)
 
 
 def test_flag_values_shorten_long_integers(capsys):
@@ -380,7 +380,7 @@ def test_flag_values_shorten_long_integers(capsys):
         cli.main(["count", "G", "--n", "9" * 5000, "--k", "2"])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --n: expected an integer, got '99999999999999999999... (5000 digits)'" in err
+    assert f"argument --n: expected an integer, got '{'9' * 40}... (5000 characters)'" in err
     assert len(err) < 800  # argparse prints the usage lines too
 
 
