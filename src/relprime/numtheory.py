@@ -1,4 +1,4 @@
-"""Möbius function, divisor enumeration, and small factoring utilities.
+"""Möbius function, squarefree divisor terms, and small factoring utilities.
 
 Everything works on plain Python integers so results stay exact at any
 size.  The prime and Möbius sieves are the only array-backed pieces,
@@ -7,8 +7,9 @@ prime sieve in _kernels.  The Möbius table is cached as that int8
 array, read-only because every caller shares it; each walk converts
 the nonzero entries it reads to Python ints, so fixed-width scalars
 never leak into big-integer sums.  Factoring has one trial-division
-loop, _prime_divisors, behind factorize and the squarefree divisor
-walks.  It stays pure Python: past 2^16 it stops at a leftover that a
+loop, _prime_factors, which finds each prime and its exponent in one
+pass; factorize and the squarefree divisor walk both read it.  It
+stays pure Python: past 2^16 it stops at a leftover that a
 Miller-Rabin test on the bases up to 41 proves prime, exact below
 3317044064679887385961981, so no probable prime ever enters a count.
 """
@@ -17,7 +18,7 @@ from functools import lru_cache
 from math import prod
 
 from . import _kernels
-from .errors import DomainError
+from .errors import check_positive
 
 # _WITNESS_BOUND is the least strong pseudoprime to all of _WITNESSES,
 # the first 13 primes (Sorenson and Webster, Strong pseudoprimes to
@@ -31,8 +32,7 @@ _WITNESS_BOUND = 3317044064679887385961981
 def moebius_sieve(limit: int):
     """mu[0..limit] as a read-only int8 array, sieved in one pass;
     mu[0] is a filler zero."""
-    if limit < 1:
-        raise DomainError(f"sieve limit must be >= 1, got {limit}")
+    check_positive(limit=limit)
     mu = _kernels.moebius_values(limit)
     mu.flags.writeable = False
     return mu
@@ -40,16 +40,8 @@ def moebius_sieve(limit: int):
 
 def factorize(n: int) -> list:
     """Prime factorization [(p, e), ...] by trial division, ascending p."""
-    if n < 1:
-        raise DomainError(f"cannot factor {n}; need a positive integer")
-    out = []
-    for p in _prime_divisors(n, n):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
+    check_positive(n=n)
+    return _prime_factors(n, n)
 
 
 def moebius(n: int) -> int:
@@ -58,23 +50,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in factors):
         return 0
     return -1 if len(factors) % 2 else 1
-
-
-def divisors_with_mu(n: int) -> tuple:
-    """All (d, mu(d)) pairs over divisors d of n, ascending, from the factorization."""
-    entries = [(1, 1)]
-    for p, e in factorize(n):
-        grown = []
-        for d, mu in entries:
-            grown.append((d, mu))
-            dp = d * p
-            grown.append((dp, -mu))
-            for _ in range(e - 1):
-                dp *= p
-                grown.append((dp, 0))
-        entries = grown
-    entries.sort()
-    return tuple(entries)
 
 
 def squarefree_divisor_terms(n: int, bound: int) -> list:
@@ -87,46 +62,48 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
     most that many steps; primorials and factorial stand-ins shed their
     small primes fast and stop once the cofactor is prime.
     """
-    if n < 1:
-        raise DomainError(f"modulus must be a positive integer, got {n}")
+    check_positive(modulus=n)
     cap = min(n, bound)
     if cap < 1:
         return []
     terms = [(1, 1)]
-    for p in _prime_divisors(n, cap):
+    for p, _ in _prime_factors(n, cap):
         terms += [(d * p, -mu) for d, mu in terms if d * p <= cap]
     terms.sort()
     return terms
 
 
-def _prime_divisors(n: int, cap: int) -> list:
-    """The distinct primes p <= cap dividing n, ascending, by trial division.
+def _prime_factors(n: int, cap: int) -> list:
+    """Pairs (p, e) over the distinct primes p <= cap dividing n, with
+    p^e the exact power of p in n, ascending, by trial division.
 
     Trial division stops once p exceeds cap or p^2 exceeds what is left
-    of n; the leftover is then 1, a prime, or built from primes above cap.
-    Past p = 2^16 it also stops once _proven_prime clears the leftover,
-    tested once for each value the leftover takes, so a large prime
-    factor costs one test instead of a walk to its square root.
-    Exponents are divided out but not counted.
+    of n; the leftover is then 1, a prime, or built from primes above cap,
+    and joins with e = 1 when it is a prime <= cap.  Past p = 2^16 it
+    also stops once _proven_prime clears the leftover, tested once for
+    each value the leftover takes, so a large prime factor costs one
+    test instead of a walk to its square root.
     """
-    primes = []
+    factors = []
     rest = n
     tested = 1  # the last leftover found composite
     p = 2
     while p <= cap and p * p <= rest:
         if rest % p == 0:
-            primes.append(p)
             rest //= p
+            e = 1
             while rest % p == 0:
                 rest //= p
+                e += 1
+            factors.append((p, e))
         elif p > _TRIAL_ONLY and rest != tested:
             if _proven_prime(rest):
                 break
             tested = rest
         p += 1 if p == 2 else 2
     if 1 < rest <= cap:
-        primes.append(rest)
-    return primes
+        factors.append((rest, 1))
+    return factors
 
 
 def _proven_prime(n: int) -> bool:
@@ -163,8 +140,7 @@ def primorial_up_to(x: int) -> int:
     This is the squarefree kernel of x!, so Möbius sums over divisors of
     x! and of this product agree term for term.
     """
-    if x < 1:
-        raise DomainError(f"primorial bound must be >= 1, got {x}")
+    check_positive(x=x)
     return prod(primes_up_to(x))
 
 

@@ -142,11 +142,12 @@ def validate_union(parts) -> ProgressionUnion:
     return ProgressionUnion(ordered)
 
 
-def enumerate_elements(X: ProgressionUnion, cap: int = ENUMERATION_CAP) -> list:
-    """Materialize X as a sorted element list; refuses sets larger than cap."""
-    if X.size > cap:
+def enumerate_elements(X: ProgressionUnion) -> list:
+    """Materialize X as a sorted element list; refuses sets larger than
+    ENUMERATION_CAP before building anything."""
+    if X.size > ENUMERATION_CAP:
         raise BudgetExceededError(
-            f"set has {X.size} elements, enumeration cap is {cap}"
+            f"set has {X.size} elements, enumeration cap is {ENUMERATION_CAP}"
         )
     return sorted(chain.from_iterable(p.elements() for p in X.parts))
 

@@ -29,7 +29,7 @@ from relprime import (
     t_count,
     validate_union,
 )
-from relprime.numtheory import divisors_with_mu, primorial_up_to, radical
+from relprime.numtheory import primorial_up_to, radical, squarefree_divisor_terms
 from conftest import (
     coprime_floor_eps_count,
     floor_eps_count,
@@ -90,11 +90,11 @@ def test_criterion_2_ap_multiple_kernel(capsys):
 def test_criterion_3_moebius_identity(capsys):
     started = time.perf_counter()
     ok = all(
-        sum(mu for _, mu in divisors_with_mu(n)) == (1 if n == 1 else 0)
+        sum(mu for _, mu in squarefree_divisor_terms(n, n)) == (1 if n == 1 else 0)
         for n in range(1, 10_001)
     )
     elapsed = time.perf_counter() - started
-    report(capsys, 3, ok, "sum of mu over divisors picks out n = 1, for n <= 10^4", elapsed, 5)
+    report(capsys, 3, ok, "sum of mu over squarefree divisors picks out n = 1, for n <= 10^4", elapsed, 5)
 
 
 def test_criterion_4_decomposition_and_bridges(capsys):

@@ -277,6 +277,37 @@ def test_budget_env_and_flag_precedence(capsys, monkeypatch):
     assert json_lines(out)[0]["verified"] is True
 
 
+def test_budget_tuples_flag_and_config(tmp_path, capsys):
+    # S(20, 3, 6) walks 20^3 = 8000 tuples
+    argv = ("verify", "S", "--n", "20", "--k", "3", "--m", "6")
+    code, out, err = run(capsys, *argv, "--budget-tuples", "100")
+    assert code == 4
+    assert out == ""
+    assert err == "relprime: 8000 tuples to enumerate exceeds the budget of 100\n"
+    config = tmp_path / "settings.conf"
+    config.write_text("budget_tuples = 100\n")
+    code, _, err = run(capsys, *argv, "--config", str(config))
+    assert code == 4
+    assert "budget of 100" in err
+    # the flag beats the config
+    code, out, _ = run(capsys, *argv, "--config", str(config), "--budget-tuples", "10000")
+    assert code == 0
+    assert json_lines(out)[0]["verified"] is True
+
+
+def test_budget_env_beats_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_BUDGET_SUBSETS, raising=False)
+    config = tmp_path / "settings.conf"
+    config.write_text("budget_subsets = 12\n")
+    code, _, _ = run(capsys, "verify", "f", "--set", "1..5", "--config", str(config))
+    assert code == 0
+    monkeypatch.setenv(cli.ENV_BUDGET_SUBSETS, "3")
+    code, out, err = run(capsys, "verify", "f", "--set", "1..5", "--config", str(config))
+    assert code == 4
+    assert out == ""
+    assert err == "relprime: |X| = 5 exceeds the subset budget of 3\n"
+
+
 def test_seq_f_values(capsys):
     code, out, _ = run(capsys, "seq", "f", "1..10")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Möbius, divisor, and factoring building blocks."""
+"""Möbius, squarefree divisor, and factoring building blocks."""
 
 from collections import Counter
 from itertools import combinations
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from relprime import DomainError
 from relprime.numtheory import (
-    divisors_with_mu,
     factorize,
     moebius,
     moebius_sieve,
@@ -60,31 +59,8 @@ def test_sieve_matches_single_value():
 def test_moebius_identity_over_divisors():
     # sum of mu over the divisors of n picks out n = 1
     for n in range(1, 2001):
-        total = sum(mu for _, mu in divisors_with_mu(n))
+        total = sum(mu for _, mu in squarefree_divisor_terms(n, n))
         assert total == (1 if n == 1 else 0)
-
-
-def test_divisor_list_structure():
-    assert divisors_with_mu(1) == ((1, 1),)
-    assert divisors_with_mu(6) == ((1, 1), (2, -1), (3, -1), (6, 1))
-    twelve = divisors_with_mu(12)
-    assert (4, 0) in twelve
-    assert [d for d, _ in twelve] == [1, 2, 3, 4, 6, 12]
-
-
-def test_divisors_reject_zero():
-    with pytest.raises(DomainError):
-        divisors_with_mu(0)
-
-
-@given(st.integers(min_value=1, max_value=4000))
-def test_divisor_list_invariants(n):
-    entries = divisors_with_mu(n)
-    ds = [d for d, _ in entries]
-    assert ds == sorted(ds)
-    assert ds[0] == 1 and ds[-1] == n
-    assert all(n % d == 0 for d in ds)
-    assert len(ds) == prod(e + 1 for _, e in factorize(n))
 
 
 def test_factorize():
@@ -119,8 +95,9 @@ def test_factorial_and_primorial_share_squarefree_divisors():
         fact = factorial(x)
         prim = primorial_up_to(x)
         assert fact % prim == 0
-        for d, mu in divisors_with_mu(prim):
-            assert mu != 0  # the primorial is squarefree
+        terms = squarefree_divisor_terms(prim, prim)
+        assert terms[-1][0] == prim  # the primorial is squarefree
+        for d, _ in terms:
             assert fact % d == 0
         for d in range(1, 2001):
             if moebius(d) != 0 and fact % d == 0:
@@ -162,10 +139,13 @@ def test_squarefree_divisor_terms_huge_modulus():
 
 
 def test_squarefree_divisors_are_the_nonzero_divisor_terms():
+    # the squarefree divisors of n are the products of its distinct
+    # primes, signed by how many they take; the primes come from the
+    # reference factoring, not from the walk under test
     cases = [*range(1, 300), 720, 510510, 2**40, 3**25, 10**12, 999983 * 999979]
     for n in cases:
-        want = [(d, mu) for d, mu in divisors_with_mu(n) if mu != 0]
-        assert squarefree_divisor_terms(n, n) == want
+        primes = [p for p, _ in factor_by_trial(n)]
+        assert squarefree_divisor_terms(n, n) == signed_products(primes)
 
 
 def factor_by_trial(n):
@@ -183,6 +163,13 @@ def factor_by_trial(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def signed_products(primes):
+    """(d, mu(d)), ascending, over the products d of subsets of the distinct primes."""
+    return sorted(
+        (prod(c), (-1) ** r) for r in range(len(primes) + 1) for c in combinations(primes, r)
+    )
 
 
 # the least strong pseudoprimes to the first 4, 9 and 12 prime bases:
@@ -235,10 +222,7 @@ def test_factorize_past_the_threshold(small, large, exponent):
     n = prod(small) ** exponent * prod(large)
     want = sorted(Counter([*small * exponent, *large]).items())
     assert factorize(n) == want
-    primes = [p for p, _ in want]
-    products = sorted(
-        (prod(c), (-1) ** r) for r in range(len(primes) + 1) for c in combinations(primes, r)
-    )
+    products = signed_products([p for p, _ in want])
     for cap in (65536, 10**6, n):
         assert squarefree_divisor_terms(n, cap) == [(d, mu) for d, mu in products if d <= cap]
 

@@ -17,6 +17,7 @@ from relprime import (
     union_multiples,
     validate_union,
 )
+from relprime.setmodel import ENUMERATION_CAP
 from conftest import coprime_floor_eps_count, floor_eps_count, scan_multiples
 
 progressions = st.builds(
@@ -165,10 +166,16 @@ def test_enumerate_elements():
 
 
 def test_enumerate_elements_cap():
-    X = validate_union([interval(1, 100)])
-    with pytest.raises(BudgetExceededError):
-        enumerate_elements(X, cap=99)
-    assert len(enumerate_elements(X, cap=100)) == 100
+    assert ENUMERATION_CAP == 10**6
+    assert len(enumerate_elements(parse_set_spec("1..1000000"))) == ENUMERATION_CAP
+
+
+def test_enumerate_elements_refuses_before_building(monkeypatch):
+    # one element past the cap is refused before any element is built
+    X = parse_set_spec("1..1000001")
+    monkeypatch.setattr(Progression, "elements", lambda self: pytest.fail("built"))
+    with pytest.raises(BudgetExceededError, match="1000001 elements"):
+        enumerate_elements(X)
 
 
 def test_parse_set_spec_grammar():
