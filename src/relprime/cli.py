@@ -5,7 +5,10 @@ to its parameters, its formula, its oracle and, for the tuple counters,
 the ordering the oracle enumerates.  All three run one query path:
 count and verify make one query, seq one per n of its range, and each
 query is evaluated, checked against the oracle when verifying, recorded
-and emitted before the next one starts.
+and emitted before the next one starts.  The seq range is read by the
+set grammar: one step-1 term, such as 'lo..hi' or 'ap(lo,1,length)'.
+One column list, _COLUMNS, names a record's query fields for JSON and
+TSV alike.
 
 Records go to stdout as JSON lines (one object per query) or, with
 --tsv, as headerless tab-separated rows.  Counts are rendered as decimal
@@ -59,7 +62,8 @@ _FUNCTIONS = {
     "T": (("n", "k", "m"), (shonhiwa, "t_count"), "brute_tuples", "strict"),
 }
 
-_RANGE_RE = re.compile(r"(\d+)\.\.(\d+)")
+# the query fields of a record, in the order JSON and TSV both show them
+_COLUMNS = ("function", "spec", "n", "k", "m")
 
 
 class _UsageError(Exception):
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--budget-subsets", type=_flag_int, metavar="N",
                        help="largest |X| the oracle will enumerate")
     query.add_argument("--budget-tuples", type=_flag_int, metavar="N",
-                       help="largest tuple space the oracle will enumerate")
+                       help="most prefixes the oracle's tuple walk may build")
 
     count = sub.add_parser("count", parents=[query], help="evaluate one counting function")
     count.add_argument("--verify", action="store_true",
@@ -186,7 +190,7 @@ def _run(args) -> int:
             verified = _oracle(name, values, _resolve_budget(args, settings)) == value
         elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
         n = values["n"]
-        _emit(_record(name, spec, n, args.k, args.m, value, verified, elapsed_ms),
+        _emit(_record((name, spec, n, args.k, args.m), value, verified, elapsed_ms),
               settings["output"])
         if verified is False:
             raise _Mismatch(f"oracle disagrees with the formula for {name}")
@@ -208,15 +212,12 @@ def _queries(args, needs):
         raise _UsageError("--check-mod3 only applies to phi")
     if args.check_nonsquare and args.function != "f":
         raise _UsageError("--check-nonsquare only applies to f")
-    match = _RANGE_RE.fullmatch(args.range.strip())
-    if not match:
+    # the range is one step-1 term of the set grammar; a union is refused
+    # before parsing, so an overlapping one exits 2 like any other
+    part = None if "+" in args.range else parse_set_spec(args.range).parts[0]
+    if part is None or part.step != 1:
         raise _UsageError(f"cannot parse range {args.range!r}; expected lo..hi")
-    lo, hi = int(match.group(1)), int(match.group(2))
-    if lo < 1:
-        raise _UsageError("sequence range must start at 1 or above")
-    if lo > hi:
-        raise _UsageError(f"empty range {args.range!r}")
-    for n in range(lo, hi + 1):
+    for n in part.elements():
         one_to_n = validate_union([interval(1, n)]) if "set" in needs else None
         spec = f"1..{n}" if "set" in needs else None
         yield spec, {"set": one_to_n, "n": n, "k": args.k, "m": args.m}
@@ -255,16 +256,10 @@ def _oracle(name, values, budget):
     return getattr(oracle, attr)(*args, budget)
 
 
-def _record(function, spec, n, k, m, result, verified, elapsed_ms):
-    record = {"function": function}
-    if spec is not None:
-        record["spec"] = spec
-    if n is not None:
-        record["n"] = n
-    if k is not None:
-        record["k"] = k
-    if m is not None:
-        record["m"] = m
+def _record(columns, result, verified, elapsed_ms):
+    """The record of one query: its _COLUMNS values other than None, then
+    the result, the verdict when verifying and the elapsed time."""
+    record = {key: value for key, value in zip(_COLUMNS, columns) if value is not None}
     try:
         record["result"] = str(result)
     except ValueError as exc:  # past sys.get_int_max_str_digits() digits
@@ -279,8 +274,7 @@ def _emit(record, fmt):
     if fmt == "json":
         line = json.dumps(record, separators=(",", ":"))
     else:
-        line = "\t".join(str(record.get(key, ""))
-                         for key in ("function", "spec", "n", "k", "m", "result"))
+        line = "\t".join(str(record.get(key, "")) for key in (*_COLUMNS, "result"))
     sys.stdout.write(line + "\n")
     sys.stdout.flush()
 

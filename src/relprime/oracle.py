@@ -10,7 +10,6 @@ bound the time instead, stopping runaway enumerations before they start.
 """
 
 from dataclasses import dataclass
-from math import comb
 
 from . import _kernels
 from .errors import BudgetExceededError, DomainError, check_positive
@@ -82,8 +81,13 @@ def brute_tuples(n: int, k: int, m=None, ordering: str = "ordered", budget=None)
 
     'ordered' walks all n^k tuples, 'nondecreasing' the multisets,
     'strict' the k-subsets.  m = None imposes no modulus (the gcd is over
-    the tuple alone).  The tuple space is estimated up front against the
-    budget.
+    the tuple alone).  The budget bounds the prefixes the walk builds at
+    every length up to k, the tuples included: n + n^2 + ... + n^k
+    ordered, C(n+k, k) - 1 nondecreasing and C(n+1, k) - 1 strict (whose
+    walk keeps only prefixes that can still reach length k), or 2 for
+    n = 1, whose walk stops at a fixed point.  Those counts are settled
+    from bit lengths and a product that stops past the budget, so a
+    refusal builds no large integer and shows none past 10^4000.
     """
     check_positive(n=n, k=k)
     if m is not None:
@@ -92,19 +96,56 @@ def brute_tuples(n: int, k: int, m=None, ordering: str = "ordered", budget=None)
         regime = _ORDERINGS[ordering]
     except KeyError:
         raise DomainError(f"unknown ordering {ordering!r}") from None
-    budget = budget or DEFAULT_BUDGET
-    space = max(_tuple_space(n, k, regime), n)
-    if space > budget.max_tuple_space:
-        raise BudgetExceededError(
-            f"{space} tuples to enumerate exceeds the budget of "
-            f"{budget.max_tuple_space}"
-        )
+    limit = (budget or DEFAULT_BUDGET).max_tuple_space
+    tuples, prefixes = _walk_size(n, k, regime, max(limit, _SHOWN))
+    if prefixes > limit:
+        if tuples > limit:
+            what = f"{_shown(tuples)} tuples to enumerate"
+        else:
+            what = f"{_shown(prefixes)} prefixes of {_shown(tuples)} tuples to build"
+        raise BudgetExceededError(f"{what} exceeds the budget of {limit}")
     return _kernels.tuple_gcd_count(n, k, 0 if m is None else m, regime)
 
 
-def _tuple_space(n, k, regime):
+# the walk's counts are computed exactly up to this and shown as "more
+# than" it past it: str() refuses integers of more than 4300 digits, and
+# building a larger count can take longer than the walk it bounds
+_SHOWN = 10**4000
+
+
+def _shown(count):
+    return str(count) if count <= _SHOWN else "more than 10^4000"
+
+
+def _walk_size(n, k, regime, cap):
+    """(tuples, prefixes) the walk builds, each exact up to cap; a count
+    past cap comes back as cap + 1 or some other value past cap."""
+    if regime == _kernels.STRICT and k > n:
+        return 0, 0
+    if n == 1:
+        return 1, min(k, 2)
     if regime == _kernels.ORDERED:
-        return n**k
+        # n^k >= 2^(k (bitlen n - 1)), so a power that passes this test
+        # has at most twice cap's bits
+        if k * (n.bit_length() - 1) > cap.bit_length():
+            return cap + 1, cap + 1
+        tuples = n**k
+        return tuples, n * (tuples - 1) // (n - 1)
+    # the prefixes' cap is one higher, so that one past it stays past cap
+    # once the - 1 is taken off
     if regime == _kernels.NONDECREASING:
-        return comb(n + k - 1, k)
-    return comb(n, k)
+        return _capped_comb(n + k - 1, k, cap), _capped_comb(n + k, k, cap + 1) - 1
+    return _capped_comb(n, k, cap), _capped_comb(n + 1, k, cap + 1) - 1
+
+
+def _capped_comb(a, b, cap):
+    """C(a, b), or cap + 1 once it passes cap.  With b the smaller side,
+    each partial product C(a-b+i, i) at least doubles, so the loop stops
+    within cap's bit length."""
+    b = min(b, a - b)
+    value = 1
+    for i in range(1, b + 1):
+        value = value * (a - b + i) // i
+        if value > cap:
+            return cap + 1
+    return value

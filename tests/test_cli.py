@@ -173,6 +173,11 @@ def test_usage_errors_exit_2(capsys):
         ("count", "f", "--set", "1..oops"),
         ("seq", "f", "10..1"),
         ("seq", "f", "abc"),
+        ("seq", "f", "0..3"),
+        ("seq", "f", "1.." + "9" * 5000),  # past int()'s digit limit
+        ("seq", "f", "ap(5,2,3)"),  # a range has step 1
+        ("seq", "f", "1..3 + 5..7"),  # and one part
+        ("seq", "f", "1..5 + 3..7"),  # overlapping or not
         ("seq", "f", "1..5", "--k", "2"),
         ("seq", "G", "1..5"),  # missing --k
         ("seq", "f", "1..5", "--check-mod3"),
@@ -268,6 +273,31 @@ def test_result_past_the_digit_limit_exits_4(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 2^20000 tuples: past str()'s 4300 digits, so never shown
+        (("G", "--n", "2", "--k", "20000"), "more than 10^4000 tuples to enumerate"),
+        # few tuples, but C(n+k, k) - 1 or C(n+1, k) - 1 prefixes on the way
+        (("H", "--n", "2", "--k", "100000"), "5000150000 prefixes of 100001 tuples to build"),
+        (("L", "--n", "3", "--k", "4000", "--m", "6"),
+         "10682674000 prefixes of 8006001 tuples to build"),
+        (("T", "--n", "100000", "--k", "99999", "--m", "6"),
+         "5000049999 prefixes of 100000 tuples to build"),
+        (("T", "--n", "20000", "--k", "19999", "--m", "6"),
+         "200009999 prefixes of 20000 tuples to build"),
+        (("H", "--n", "2", "--k", "8000"), "32012000 prefixes of 8001 tuples to build"),
+    ],
+    ids=("G-digits", "H-deep", "L-deep", "T-deep", "T-20000", "H-8000"),
+)
+def test_tuple_budget_counts_prefixes_and_refuses_at_once(capsys, argv, message):
+    start = perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == f"relprime: {message} exceeds the budget of 10000000\n"
+
+
 def test_budget_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET_SUBSETS, "3")
     code, _, _ = run(capsys, "verify", "f", "--set", "1..5")
@@ -335,6 +365,37 @@ def test_seq_check_failure_exits_5(capsys, monkeypatch):
     assert "perfect square" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("abc", "cannot parse term 'abc'"),
+        ("10..1", "bad term '10..1': empty interval 10..1"),
+        ("0..3", "bad term '0..3': first term must be positive, got 0"),
+        ("1..3 + 5..7", "cannot parse range '1..3 + 5..7'; expected lo..hi"),
+    ],
+)
+def test_seq_range_errors_use_the_set_grammar(capsys, spec, message):
+    code, out, err = run(capsys, "seq", "f", spec)
+    assert (code, out, err) == (2, "", f"relprime: {message}\n")
+
+
+def test_seq_range_past_the_digit_limit_exits_2_at_once(capsys):
+    start = perf_counter()
+    code, out, err = run(capsys, "seq", "f", "1.." + "9" * 5000)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("relprime: bad term '1..9999")
+    assert "(5003 characters)" in err and len(err) < 400
+
+
+@pytest.mark.parametrize(
+    "spec, ns", [("1 .. 4", [1, 2, 3, 4]), ("ap(5,1,3)", [5, 6, 7])])
+def test_seq_range_is_a_set_term(capsys, spec, ns):
+    code, out, _ = run(capsys, "seq", "f", spec)
+    assert code == 0
+    assert [r["n"] for r in json_lines(out)] == ns
+
+
 def test_seq_tuple_function(capsys):
     code, out, _ = run(capsys, "seq", "S", "1..6", "--k", "2", "--m", "6")
     assert code == 0
@@ -377,6 +438,28 @@ def test_config_errors(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("relprime: cannot read config")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("budget_subsets 5", "expected key=value, got 'budget_subsets 5'"),
+        ("output = xml", "output must be json or tsv"),
+        ("budget_tuples = 0", "budget_tuples: expected a positive integer, got '0'"),
+    ],
+)
+def test_config_line_errors_exit_2(tmp_path, capsys, line, message):
+    config = tmp_path / "c1.conf"
+    config.write_text(line + "\n")
+    code, out, err = run(capsys, "verify", "f", "--set", "1..5", "--config", str(config))
+    assert (code, out, err) == (2, "", f"relprime: {config}:1: {message}\n")
+
+
+def test_bad_budget_environment_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_BUDGET_SUBSETS, "abc")
+    code, out, err = run(capsys, "verify", "f", "--set", "1..5")
+    assert (code, out) == (2, "")
+    assert err == "relprime: RELPRIME_BUDGET_SUBSETS: expected an integer, got 'abc'\n"
 
 
 def test_seq_records_stream_in_order(capsys):

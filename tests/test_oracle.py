@@ -84,6 +84,11 @@ def test_subset_budget():
         subset_gcd_histogram(X, 0, OracleBudget(max_set_size=10))
 
 
+def test_negative_fold_is_a_domain_error():
+    with pytest.raises(DomainError, match="fold must be nonnegative, got -1"):
+        subset_gcd_histogram(validate_union([interval(1, 4)]), -1)
+
+
 def test_brute_tuple_examples():
     assert brute_tuples(3, 2) == 7
     assert brute_tuples(2, 2, None, "nondecreasing") == 2
@@ -108,6 +113,39 @@ def test_tuple_budget():
     assert brute_tuples(100, 2) > 0
     with pytest.raises(BudgetExceededError):
         brute_tuples(5, 2, None, "ordered", OracleBudget(max_tuple_space=24))
+
+
+def test_tuple_budget_is_the_prefixes_the_walk_builds(monkeypatch):
+    # np.gcd builds every prefix the walk makes, and with fold 0 nothing else
+    built = []
+    real_gcd = np.gcd
+
+    def counting_gcd(*args):
+        g = real_gcd(*args)
+        built.append(np.size(g))
+        return g
+
+    monkeypatch.setattr(np, "gcd", counting_gcd)
+    for regime, ordering in REGIMES.items():
+        for n in range(1, 9):
+            for k in range(1, 8):
+                built.clear()
+                _kernels.tuple_gcd_count(n, k, 0, regime)
+                size = sum(built)
+                exact = brute_tuples(n, k, None, ordering, OracleBudget(max_tuple_space=size))
+                assert exact == tuples_recount(n, k, 0, ordering)
+                if size:
+                    with pytest.raises(BudgetExceededError):
+                        brute_tuples(n, k, None, ordering, OracleBudget(max_tuple_space=size - 1))
+
+
+def test_tuple_budget_refuses_huge_spaces_at_once():
+    start = time.perf_counter()
+    for args in ((2, 20000), (3, 10**8), (10**4000, 2), (2, 10**4000, None, "nondecreasing"),
+                 (10**4000, 10**4000 - 2, None, "strict")):
+        with pytest.raises(BudgetExceededError, match="^more than 10\\^4000 tuples"):
+            brute_tuples(*args)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tuple_domain():
