@@ -1,16 +1,20 @@
 """Hot array loops: the prime and Möbius sieves, the subset gcd histogram
-and the tuple walks.
+and the tuple walk.
 
-All of them are vectorized numpy, with one implementation each.  The
-prime sieve crosses off multiples of the primes up to the square root
-of its limit, and the Möbius sieve marks mu from the primes it returns.
-The two oracle kernels still visit every subset and every tuple and take
-its gcd directly, but in blocks of fixed size: the subset pass folds
-2^12-entry gcd tables against each other, and the tuple walk grows
-prefix arrays of at most 2^16 entries.  So their memory stays bounded
-whatever the budget, while their time still grows with 2^|X| and with
-the tuple space.  Integers of any size take the same path: gcds that
-fit int64 run on int64 arrays, and past int64 on object arrays of
+Each has one implementation.  The sieves and the subset pass are
+vectorized numpy.  The prime sieve crosses off multiples of the primes
+up to the square root of its limit, and the Möbius sieve marks mu from
+the primes it returns.  The subset pass still visits every subset and
+takes its gcd directly, but in blocks of fixed size: it folds
+2^12-entry gcd tables against each other, so its memory stays bounded
+whatever the budget, while its time grows with 2^|X|.  The tuple walk
+counts prefixes by class, (gcd so far, last value), in a dict, taking
+one step per class and next value and so never more than one per
+prefix, and counts its last position with np.gcd.  It holds its
+classes, each of whose gcds divides its last value, so at most n of
+them for ordered tuples and about n ln n otherwise, and one window of
+at most 2^16 values.  Integers of any size take the same path: gcds
+that fit int64 run on int64 arrays, and past int64 on object arrays of
 Python ints, which np.gcd takes as well.  Every function returns the
 same integers its definition does.
 
@@ -26,14 +30,14 @@ plain Python and need none.
 """
 
 import sys
-from math import isqrt
+from math import gcd, isqrt
 
 BACKEND = "numpy"
 
 ORDERED, NONDECREASING, STRICT = 0, 1, 2
 
 # the subset pass works on tables of 2^_SUBSET_BLOCK_BITS entries, the
-# tuple walk on prefix arrays of at most _TUPLE_BLOCK entries
+# tuple walk's last position on windows of at most _TUPLE_BLOCK values
 _SUBSET_BLOCK_BITS = 12
 _TUPLE_BLOCK = 1 << 16
 INT64_MAX = 2**63 - 1
@@ -145,76 +149,43 @@ def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
     """Count k-tuples over [1, n] in one ordering regime with gcd == 1.
 
     The gcd is taken over the tuple's values and ``fold``; fold = 0 adds
-    nothing, so those gcds are counted as they are.  Any other fold is
-    applied with np.gcd, on Python ints once it passes int64.
-    """
-    import numpy as np
-
-    total = 0
-    for g in _tuple_gcd_blocks(n, k, regime):
-        if fold:
-            g = np.gcd(g if fold <= INT64_MAX else g.astype(object), fold)
-        total += int(np.count_nonzero(g == 1))
-    return total
-
-
-def _tuple_gcd_blocks(n, k, regime):
-    """Yield the gcds of every k-tuple over [1, n], block by block.
-
-    A block is a pair of prefix arrays, (gcd so far, last value), that
-    grows one position at a time.  A strict prefix only takes values that
+    nothing, so those gcds are counted as they are.  Prefixes are counted
+    by class, (gcd so far folded with fold, last value), where the last
+    value is kept only when it bounds the next one (0 when ordered).  The
+    classes move forward one position at a time with math.gcd until one
+    position is left, or until a step returns the same classes, since
+    every later step would too.  A strict prefix only takes values that
     leave room for the larger ones still to come, so prefixes that cannot
-    reach length k drop out at once.  An extension that would pass
-    _TUPLE_BLOCK entries is split instead, into slices of the prefix
-    array or the value windows of a single prefix.  A block stops early
-    when it empties or when an extension leaves it unchanged, since every
-    later extension would too.
+    reach length k drop out at once.  The last position is counted with
+    np.gcd over windows of at most _TUPLE_BLOCK values, on Python ints
+    once a gcd passes int64 (only k = 1 with a huge fold gets there).
     """
     import numpy as np
 
-    first = 1 if regime == NONDECREASING else 0
-    root = (np.zeros(1, dtype=np.int64), np.array([first], dtype=np.int64), 0)
-    pending = [iter([root])]
-    while pending:
-        block = next(pending[-1], None)
-        if block is None:
-            pending.pop()
-            continue
-        g, last, depth = block
-        while depth < k and len(g):
-            if regime == ORDERED:
-                start = np.ones_like(last)
-            else:
-                start = last if regime == NONDECREASING else last + 1
-            stop = n - (k - depth - 1) if regime == STRICT else n
-            counts = np.maximum(stop + 1 - start, 0)
-            size = int(counts.sum())
-            if size > _TUPLE_BLOCK:
-                pending.append(_split(g, last, depth, n, int(start[0]), stop))
-                break
-            offsets = np.cumsum(counts) - counts
-            values = np.repeat(start - offsets, counts) + np.arange(size)
-            grown = np.gcd(np.repeat(g, counts), values)
-            if np.array_equal(grown, g) and np.array_equal(values, last):
-                depth = k  # a fixed point: the later positions change nothing
-            else:
-                g, last, depth = grown, values, depth + 1
-        else:
-            if len(g):
-                yield g
+    def span(last, depth):
+        # the values position depth + 1 may take after last
+        if regime == ORDERED:
+            return range(1, n + 1)
+        if regime == NONDECREASING:
+            return range(last, n + 1)
+        return range(last + 1, n - (k - depth - 1) + 1)
 
-
-def _split(g, last, depth, n, lo, hi):
-    # every prefix grows by at most n values, so slices of _TUPLE_BLOCK // n
-    # prefixes fit a block; a single prefix's next values, lo..hi, are
-    # walked a window at a time
-    import numpy as np
-
-    if len(g) > 1:
-        step = max(1, _TUPLE_BLOCK // n)
-        for i in range(0, len(g), step):
-            yield g[i : i + step], last[i : i + step], depth
-        return
-    for lo in range(lo, hi + 1, _TUPLE_BLOCK):
-        values = np.arange(lo, min(lo + _TUPLE_BLOCK, hi + 1), dtype=np.int64)
-        yield np.gcd(g[0], values), values, depth + 1
+    classes = {(fold, 1 if regime == NONDECREASING else 0): 1}
+    for depth in range(k - 1):
+        grown = {}
+        for (g, last), count in classes.items():
+            for v in span(last, depth):
+                key = (gcd(g, v), 0 if regime == ORDERED else v)
+                grown[key] = grown.get(key, 0) + count
+        if grown == classes:
+            break
+        classes = grown
+    total = 0
+    for (g, last), count in classes.items():
+        values = span(last, k - 1)
+        for lo in range(values.start, values.stop, _TUPLE_BLOCK):
+            window = np.arange(lo, min(lo + _TUPLE_BLOCK, values.stop), dtype=np.int64)
+            if g > INT64_MAX:
+                window = window.astype(object)
+            total += count * int(np.count_nonzero(np.gcd(window, g) == 1))
+    return total

@@ -15,8 +15,9 @@ Records go to stdout as JSON lines (one object per query) or, with
 strings so arbitrarily large values survive 64-bit JSON parsers.
 
 Exit codes: 0 success, 2 usage or parse error, 3 overlapping union,
-4 oracle budget exceeded, out of memory or a size too large to
-represent, 5 failed sequence check, 6 verify mismatch, 130 interrupted,
+4 oracle budget exceeded, a tuple count whose result could pass 2^28
+bits, out of memory or a size too large to represent, 5 failed
+sequence check, 6 verify mismatch, 130 interrupted,
 141 stdout closed early (a broken pipe; nothing is printed).  Error
 messages show a run of more than 80 characters without whitespace or
 quotes (a huge integer, set term or flag value) by its first 40 and its
@@ -136,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--budget-subsets", type=_flag_int, metavar="N",
                        help="largest |X| the oracle will enumerate")
     query.add_argument("--budget-tuples", type=_flag_int, metavar="N",
-                       help="most prefixes the oracle's tuple walk may build")
+                       help="most tuple prefixes, of every length up to k, the "
+                       "oracle may count")
 
     count = sub.add_parser("count", parents=[query], help="evaluate one counting function")
     count.add_argument("--verify", action="store_true",

@@ -22,7 +22,7 @@ class OverlapError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """An enumeration or a result would exceed its budget or size limit."""
 
 
 def check_positive(**params):

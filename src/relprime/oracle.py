@@ -2,11 +2,12 @@
 
 Everything here recounts from the definitions so the formula modules can
 be checked against genuinely independent code; the only shared pieces are
-gcd itself and the set model's element enumeration.  The enumerations run
-in the blocked kernels of _kernels, one path for integers of every size:
-every subset and every tuple is still visited and its gcd taken, but
-memory stays within a fixed block size whatever the budget.  Budgets
-bound the time instead, stopping runaway enumerations before they start.
+gcd itself and the set model's element enumeration.  The recounts run in
+the kernels of _kernels, one path for integers of every size: the subset
+pass visits every subset and takes its gcd, in memory bounded by a fixed
+block size, and the tuple walk counts prefixes by (gcd so far, last
+value) class, one step per class and next value.  Budgets bound the
+time, stopping runaway recounts before they start.
 """
 
 from dataclasses import dataclass
@@ -79,10 +80,11 @@ def brute_phi_k(X: ProgressionUnion, n: int, k: int, budget=None) -> int:
 def brute_tuples(n: int, k: int, m=None, ordering: str = "ordered", budget=None) -> int:
     """Count k-tuples over [1, n] in one ordering regime, gcd folded with m.
 
-    'ordered' walks all n^k tuples, 'nondecreasing' the multisets,
+    'ordered' counts all n^k tuples, 'nondecreasing' the multisets,
     'strict' the k-subsets.  m = None imposes no modulus (the gcd is over
-    the tuple alone).  The budget bounds the prefixes the walk builds at
-    every length up to k, the tuples included: n + n^2 + ... + n^k
+    the tuple alone).  The budget bounds the prefixes of every length up
+    to k, the tuples included, and so the walk, which takes at most one
+    step per prefix: n + n^2 + ... + n^k
     ordered, C(n+k, k) - 1 nondecreasing and C(n+1, k) - 1 strict (whose
     walk keeps only prefixes that can still reach length k), or 2 for
     n = 1, whose walk stops at a fixed point.  Those counts are settled

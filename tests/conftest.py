@@ -115,14 +115,18 @@ _TUPLE_WALKS = {
 }
 
 
+def tuple_walk(n, k, ordering):
+    """Every k-tuple over [1, n] in one ordering, from itertools."""
+    return _TUPLE_WALKS[ordering](range(1, n + 1), k)
+
+
 def tuples_recount(n, k, fold, ordering):
     """k-tuples over [1, n] in one ordering whose gcd with fold is 1.
 
     fold = 0 adds nothing to the gcd.  An itertools walk over plain
-    Python ints, so it shares nothing with the package's blocked walk.
+    Python ints, so it shares nothing with the package's class walk.
     """
-    walk = _TUPLE_WALKS[ordering](range(1, n + 1), k)
-    return sum(reduce(gcd, entry, fold) == 1 for entry in walk)
+    return sum(reduce(gcd, entry, fold) == 1 for entry in tuple_walk(n, k, ordering))
 
 
 def random_progression(rng, max_first=40, max_step=12, max_length=12):

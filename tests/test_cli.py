@@ -274,6 +274,24 @@ def test_result_past_the_digit_limit_exits_4(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, bits",
+    [
+        (("G", "--n", "10", "--k", "100000000000000000000"), 4 * 10**20),
+        (("S", "--n", "10", "--k", "100000000", "--m", "6"), 4 * 10**8),
+    ],
+    ids=("G", "S"),
+)
+def test_wide_tuple_results_exit_4_at_once(capsys, argv, bits):
+    # 10 has 4 bits, so 10^k has at most 4k; both are refused before q^k
+    start = perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == (f"relprime: counting {argv[4]}-tuples over [1, 10] may give a result "
+                   f"of {bits} bits, past the limit of 268435456\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         # 2^20000 tuples: past str()'s 4300 digits, so never shown

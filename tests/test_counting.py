@@ -1,6 +1,7 @@
 """The four Möbius-sum subset counters and their helpers."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -203,3 +204,16 @@ def test_phi_drops_negative_never(n_size, modulus):
     X = validate_union([interval(1, n_size)])
     assert phi(X, modulus) >= 0
     assert f(X) >= 0
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=400))
+def test_subsets_grouped_by_gcd_are_every_subset(lo, width):
+    # the subsets of [lo, hi] whose gcd is g are g times the relatively
+    # prime subsets of [ceil(lo/g), floor(hi/g)]; empty intervals are
+    # skipped and equal ones counted once, times their number
+    hi = lo + width
+    intervals = Counter((-(-lo // g), hi // g) for g in range(1, hi + 1))
+    total = sum(times * f(validate_union([interval(a, b)]))
+                for (a, b), times in intervals.items() if a <= b)
+    assert total == 2 ** (width + 1) - 1

@@ -3,9 +3,13 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from math import gcd, isqrt
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relprime import (
     BudgetExceededError,
@@ -18,14 +22,18 @@ from relprime import (
     brute_tuples,
     enumerate_elements,
     f,
+    g_count,
+    h_count,
     interval,
+    l_count,
     parse_set_spec,
     subset_gcd_histogram,
+    t_count,
     validate_union,
 )
 from relprime.numtheory import moebius, primes_up_to, primorial_up_to
 from relprime import _kernels
-from conftest import random_union, subsets_recount, tuples_recount
+from conftest import random_union, subsets_recount, tuple_walk, tuples_recount
 
 import numpy as np
 
@@ -115,23 +123,24 @@ def test_tuple_budget():
         brute_tuples(5, 2, None, "ordered", OracleBudget(max_tuple_space=24))
 
 
-def test_tuple_budget_is_the_prefixes_the_walk_builds(monkeypatch):
-    # np.gcd builds every prefix the walk makes, and with fold 0 nothing else
-    built = []
-    real_gcd = np.gcd
+def walk_prefixes(n, k, ordering):
+    """The distinct prefixes of every length 1..k of the itertools
+    tuples, the tuples included; for n = 1 the walk stops at a fixed
+    point after two."""
+    # the tuples by their prefix of length k - 1
+    shorter = Counter(entry[:-1] for entry in tuple_walk(n, k, ordering))
+    prefixes = sum(shorter.values())
+    for _ in range(k - 1):
+        prefixes += len(shorter)
+        shorter = {entry[:-1] for entry in shorter}
+    return min(prefixes, 2) if n == 1 else prefixes
 
-    def counting_gcd(*args):
-        g = real_gcd(*args)
-        built.append(np.size(g))
-        return g
 
-    monkeypatch.setattr(np, "gcd", counting_gcd)
+def test_tuple_budget_is_the_prefixes_the_walk_builds():
     for regime, ordering in REGIMES.items():
         for n in range(1, 9):
             for k in range(1, 8):
-                built.clear()
-                _kernels.tuple_gcd_count(n, k, 0, regime)
-                size = sum(built)
+                size = walk_prefixes(n, k, ordering)
                 exact = brute_tuples(n, k, None, ordering, OracleBudget(max_tuple_space=size))
                 assert exact == tuples_recount(n, k, 0, ordering)
                 if size:
@@ -205,7 +214,8 @@ def test_kernels_agree_with_definitions():
 
 @pytest.fixture(params=[2, 3])
 def small_blocks(request, monkeypatch):
-    # blocks of 2^2 and 2^3 entries, so every split path of both kernels runs
+    # subset tables and tuple windows of 2^2 and 2^3 entries, so every
+    # split path of the subset pass and every window of the tuple walk runs
     bits = request.param
     monkeypatch.setattr(_kernels, "_SUBSET_BLOCK_BITS", bits)
     monkeypatch.setattr(_kernels, "_TUPLE_BLOCK", 1 << bits)
@@ -239,7 +249,7 @@ def test_tuple_kernel_matches_recount_in_small_blocks(small_blocks):
             for fold in FOLDS + HUGE_MODULI:
                 expected = tuples_recount(n, k, fold, ordering)
                 assert _kernels.tuple_gcd_count(n, k, fold, regime) == expected
-    # one prefix with more next values than a block: value windows
+    # classes with more values left for the last position than a window
     for regime, ordering in REGIMES.items():
         for fold in (0, 6, 2**64 + 1):
             expected = tuples_recount(30, 2, fold, ordering)
@@ -278,9 +288,9 @@ def test_oracle_with_moduli_beyond_int64():
 
 
 def test_tuple_walk_stops_at_a_fixed_point():
-    # the first three would take 10^6 extensions without the fixed point;
-    # the strict ones near k = n would walk about 2^n prefixes if those
-    # with too few values left above them were kept
+    # the first three would take 10^6 steps without the fixed point; the
+    # strict ones near k = n would carry classes that can never reach
+    # length k if those with too few values left above them were kept
     started = time.perf_counter()
     assert brute_tuples(5, 10**6, 6, "strict") == 0
     assert brute_tuples(1, 10**6) == 1
@@ -288,6 +298,34 @@ def test_tuple_walk_stops_at_a_fixed_point():
     assert brute_tuples(40, 40, None, "strict") == 1
     assert brute_tuples(30, 28, 6, "strict") == tuples_recount(30, 28, 6, "strict")
     assert time.perf_counter() - started < 1.0
+
+
+def test_deep_walks_are_cheap():
+    # one class per step, so each walk's time follows its depth, not the
+    # prefixes the budget counts
+    started = time.perf_counter()
+    assert brute_tuples(200000, 200000, 6, "strict") == 1
+    raised = OracleBudget(max_tuple_space=2 * 10**10)
+    assert brute_tuples(3, 4000, 6, "nondecreasing", raised) == l_count(3, 4000, 6)
+    raised = OracleBudget(max_tuple_space=4 * 10**7)
+    assert brute_tuples(2, 8000, None, "nondecreasing", raised) == h_count(2, 8000)
+    raised = OracleBudget(max_tuple_space=3 * 10**8)
+    assert brute_tuples(20000, 19999, 6, "strict", raised) == t_count(20000, 19999, 6)
+    assert time.perf_counter() - started < 4.0
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    k=st.integers(min_value=1, max_value=6),
+    regime=st.sampled_from(sorted(REGIMES)),
+    fold=st.sampled_from(FOLDS + HUGE_MODULI[:2]),
+    window=st.sampled_from([None, 1, 2, 3]),
+)
+def test_class_walk_matches_recount(n, k, regime, fold, window):
+    with patch.object(_kernels, "_TUPLE_BLOCK", window or _kernels._TUPLE_BLOCK):
+        count = _kernels.tuple_gcd_count(n, k, fold, regime)
+    assert count == tuples_recount(n, k, fold, REGIMES[regime])
 
 
 def test_single_position_walks_value_windows():
@@ -305,12 +343,15 @@ def test_single_position_walks_value_windows():
          lambda: f(parse_set_spec("1..26"))),
         (lambda: _kernels.tuple_gcd_count(2, 23, 0, _kernels.ORDERED),
          lambda: 2**23 - 1),  # every tuple of 1s and 2s but the all-2 one
+        (lambda: _kernels.tuple_gcd_count(3000, 2, 0, _kernels.ORDERED),
+         lambda: g_count(3000, 2)),
     ],
-    ids=["subsets_1..26", "tuples_2^23"],
+    ids=["subsets_1..26", "tuples_2^23", "tuples_3000^2"],
 )
 def test_oracle_memory_stays_within_a_block(count, expected):
-    # an unblocked subset pass allocates about 2 GiB for 1..26, and an
-    # unsplit prefix array would hold all 2^23 tuples
+    # an unblocked subset pass allocates about 2 GiB for 1..26; the tuple
+    # walk holds one window and its classes, whose number grows with n:
+    # 3000 gcds after the first of two positions
     tracemalloc.start()
     try:
         value = count()

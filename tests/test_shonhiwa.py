@@ -1,10 +1,15 @@
 """The five constrained-tuple counters over [1, n]."""
 
 import random
+from collections import Counter
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relprime import (
+    BudgetExceededError,
     DomainError,
     brute_tuples,
     g_count,
@@ -16,6 +21,7 @@ from relprime import (
     t_count,
     validate_union,
 )
+from relprime import shonhiwa
 from relprime.counting import binomial
 from relprime.numtheory import primorial_up_to, radical
 
@@ -74,6 +80,26 @@ def test_domain_errors():
             call()
 
 
+def test_wide_results_are_refused_before_any_weight(monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("a weight was computed")
+
+    monkeypatch.setattr(shonhiwa, "tuple_sum", no_weights)
+    limit = shonhiwa._MAX_RESULT_BITS
+    for call in (
+        lambda: g_count(10, 10**20),
+        lambda: s_count(10, 10**8, 6),
+        lambda: g_count(2, limit // 2 + 1),  # one position past the limit
+        lambda: l_count(10**8, 10**8, 6),
+        lambda: h_count(10**8, 10**8),
+        lambda: t_count(10**9, 10**8, 6),
+    ):
+        with pytest.raises(BudgetExceededError, match="past the limit of 268435456$"):
+            call()
+    with pytest.raises(AssertionError, match="a weight was computed"):
+        g_count(2, limit // 2)  # at the limit, so the weights are taken
+
+
 def test_matches_brute_tuples_small_grid():
     for n in range(1, 8):
         for k in range(1, 4):
@@ -130,3 +156,17 @@ def test_modulus_radical_invariance():
         assert s_count(n, k, m) == s_count(n, k, radical(m))
         assert l_count(n, k, m) == l_count(n, k, radical(m))
         assert t_count(n, k, m) == t_count(n, k, radical(m))
+
+
+def grouped_by_gcd(n, count, k):
+    # the k-tuples whose gcd is g are g times those over [1, n // g] with
+    # gcd 1; equal quotients n // g are counted once, times their number
+    quotients = Counter(n // g for g in range(1, n + 1))
+    return sum(times * count(q, k) for q, times in quotients.items())
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=5))
+def test_tuples_grouped_by_gcd_are_every_tuple(n, k):
+    assert grouped_by_gcd(n, g_count, k) == n**k
+    assert grouped_by_gcd(n, h_count, k) == comb(n + k - 1, k)
