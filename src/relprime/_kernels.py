@@ -3,8 +3,10 @@ and the tuple walk.
 
 Each has one implementation.  The sieves and the subset pass are
 vectorized numpy.  The prime sieve crosses off multiples of the primes
-up to the square root of its limit, and the Möbius sieve marks mu from
-the primes it returns.  The subset pass still visits every subset and
+up to the square root of its limit.  The Möbius sieve loops over the
+same primes to mark mu, then gives each n its one prime factor above
+the square root, if it has one, with one fancy-indexed sign flip per
+cofactor m.  The subset pass still visits every subset and
 takes its gcd directly, but in blocks of fixed size: it folds
 2^12-entry gcd tables against each other, so its memory stays bounded
 whatever the budget, while its time grows with 2^|X|.  The tuple walk
@@ -68,15 +70,29 @@ def primes(limit: int):
 
 
 def moebius_values(limit: int):
-    """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero."""
+    """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero.
+
+    Only the primes p <= isqrt(limit) are looped over: each flips the
+    sign of its multiples and zeroes those of p^2.  Every n <= limit has
+    at most one prime factor q above isqrt(limit), and n = m * q with
+    m <= limit // (isqrt(limit) + 1), so one fancy-indexed flip per m,
+    over the large primes q <= limit // m, gives q its sign.
+    """
     _check_sieve_limit(limit)
     import numpy as np
 
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes(limit).tolist():
+    root = isqrt(limit)
+    every = primes(limit)
+    split = int(np.searchsorted(every, root, side="right"))
+    for p in every[:split].tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+    large = every[split:]
+    for m in range(1, limit // (root + 1) + 1):
+        q = large[: int(np.searchsorted(large, limit // m, side="right"))]
+        mu[m * q] *= -1
     return mu
 
 

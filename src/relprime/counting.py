@@ -5,16 +5,23 @@ squarefree d, where the kernel is |X_d| (union_multiples) for the subset
 counters here and floor(n/d) for the tuple counters in shonhiwa.
 divisor_sum is the one walk behind all nine.  It has two streams: with
 no modulus, every squarefree d up to the bound, read off the cached
-int8 Möbius sieve as Python ints and grouped by kernel value because
-that walk meets each value many times; with a modulus, its squarefree
-divisors, found from its own primes and weighed term by term.  Small
-sets take a third source, the divisors two elements share
-(shared_divisor_sum).  mobius_sum keeps positive and negative
-contributions in two totals, for speed.
+int8 Möbius sieve as Python ints, and summed into a weight-free
+histogram, the sum of mu per kernel value, which weigh then weighs
+once per value, because that walk meets each value many times; with a
+modulus, its squarefree divisors, found from its own primes and
+weighed term by term.  Small sets take a third source, the divisors
+two elements share (shared_divisor_sum).  mobius_sum keeps positive
+and negative contributions in two totals, for speed.
+
+The histogram of a dense ground set does not depend on the weight, so
+f and f_k for every k share it: subset_histogram caches it per set, the
+last 8 sets, keyed by the ProgressionUnion itself.  The cache lives in
+the process, so it pays off when one process counts one set several
+times, not for a single count in a fresh process.
 """
 
 from collections import Counter, defaultdict
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from math import comb, gcd, isqrt, prod
 from operator import floordiv
@@ -48,8 +55,8 @@ def mobius_sum(terms) -> int:
     floating point anywhere), so it raises instead of returning.
 
     Positive and negative parts go into two totals rather than one, for
-    speed: the grouped sieve stream yields its values from the largest
-    down, so the negative total starts at d = 2's value, far narrower
+    speed: the sieve histogram lists d = 1's value, the largest, first,
+    so the negative total starts at d = 2's value, far narrower
     than d = 1's, and each later negative value is added into it
     without copying the full width.  On the 619 grouped pairs of
     f([1, 2*10^5]) one total took about 1.4 times as long as two.
@@ -72,38 +79,63 @@ def mobius_sum(terms) -> int:
     return total
 
 
-def grouped(terms, kernel, weight):
-    """(coefficient, weight(e)) per distinct e = kernel(d), from (d, mu) pairs.
+def histogram(terms, kernel) -> tuple:
+    """(coefficient, e) per distinct e = kernel(d), from (d, mu) pairs.
 
     The coefficient of e is the sum of mu over the d with kernel(d) = e,
-    so mobius_sum of the output equals that of (mu, weight(kernel(d)))
-    term by term, with one weight and one big multiply-add per distinct
-    e.  Values whose coefficients cancel to zero are never weighed.
+    so weigh of the histogram equals mobius_sum of
+    (mu, weight(kernel(d))) term by term, with one weight and one big
+    multiply-add per distinct e.  Values whose coefficients cancel to
+    zero are dropped.  The pairs keep the order their values were first
+    met in, which for the sieve stream starts at d = 1's value, the
+    largest; mobius_sum's narrow negative total relies on that order.
     """
     coefficients = defaultdict(int)
     for d, mu in terms:
         coefficients[kernel(d)] += mu
-    for e, c in coefficients.items():
-        if c:
-            yield c, weight(e)
+    return tuple((c, e) for e, c in coefficients.items() if c)
+
+
+def weigh(pairs, weight) -> int:
+    """mobius_sum of (coefficient, weight(e)) over (coefficient, e) pairs."""
+    return mobius_sum((c, weight(e)) for c, e in pairs)
+
+
+def sieve_histogram(bound: int, kernel) -> tuple:
+    """The histogram of kernel(d) over every squarefree d <= bound.
+
+    The nonzero entries of the sieve to the bound are converted to
+    Python ints, so no numpy scalar enters the kernel or the sums.
+    """
+    mu = moebius_sieve(bound)
+    d = mu.nonzero()[0]
+    return histogram(zip(d.tolist(), mu[d].tolist()), kernel)
 
 
 def divisor_sum(modulus, bound: int, kernel, weight) -> int:
     """Sum of mu(d) * weight(kernel(d)) over squarefree d <= bound.
 
-    With modulus None every squarefree d qualifies: the nonzero entries
-    of the sieve to the bound, converted to Python ints so no numpy
-    scalar enters the big-integer sums, and grouped by kernel value;
-    otherwise only the divisors of the modulus, term by term, since
-    they rarely repeat a value.  Callers pick the bound so that the
-    terms past it would contribute zero.
+    With modulus None every squarefree d qualifies, and the sum weighs
+    their sieve_histogram; otherwise only the divisors of the modulus
+    qualify, weighed term by term, since they rarely repeat a value.
+    Callers pick the bound so that the terms past it would contribute
+    zero.
     """
     if modulus is None:
-        mu = moebius_sieve(bound)
-        d = mu.nonzero()[0]
-        return mobius_sum(grouped(zip(d.tolist(), mu[d].tolist()), kernel, weight))
+        return weigh(sieve_histogram(bound, kernel), weight)
     terms = squarefree_divisor_terms(modulus, bound)
     return mobius_sum((mu, weight(kernel(d))) for d, mu in terms)
+
+
+@lru_cache(maxsize=8)
+def subset_histogram(X: ProgressionUnion) -> tuple:
+    """sieve_histogram of |X_d| up to max X, cached for the last 8 sets.
+
+    The key is X itself; validate_union sorts its parts, so the same set
+    parsed again finds its entry.  The value is an immutable tuple,
+    since every caller, on any thread, shares it.
+    """
+    return sieve_histogram(X.max_element, partial(union_multiples, X))
 
 
 def shared_divisor_terms(X: ProgressionUnion, modulus) -> tuple:
@@ -151,11 +183,14 @@ def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
     |X| * sqrt(max X) steps against max X sieve candidates, so when that
     is cheaper the sum comes from shared_divisor_sum, which factors only
     the part of each element another element shares.  Otherwise it is
-    divisor_sum up to max X; d beyond max X has |X_d| = 0.
+    divisor_sum up to max X, whose sieve stream is the cached
+    subset_histogram; d beyond max X has |X_d| = 0.
     """
     top = X.max_element
     if X.size * isqrt(top) < top:
         return shared_divisor_sum(X, modulus, weight)
+    if modulus is None:
+        return weigh(subset_histogram(X), weight)
     return divisor_sum(modulus, top, partial(union_multiples, X), weight)
 
 

@@ -3,15 +3,19 @@
 Everything works on plain Python integers so results stay exact at any
 size.  The prime and Möbius sieves are the only array-backed pieces,
 and the only functions here that load numpy: both run the one numpy
-prime sieve in _kernels.  The Möbius table is cached as that int8
-array, read-only because every caller shares it; each walk converts
-the nonzero entries it reads to Python ints, so fixed-width scalars
-never leak into big-integer sums.  Factoring has one trial-division
-loop, _prime_factors, which finds each prime and its exponent in one
-pass; factorize and the squarefree divisor walk both read it.  It
-stays pure Python: past 2^16 it stops at a leftover that a
-Miller-Rabin test on the bases up to 41 proves prime, exact below
-3317044064679887385961981, so no probable prime ever enters a count.
+prime sieve in _kernels, and the Möbius sieve loops in Python only
+over its primes up to the square root of the limit.  The Möbius table
+is cached as that int8 array, the last 8 limits, read-only because
+every caller shares it; each walk converts the nonzero entries it
+reads to Python ints, so fixed-width scalars never leak into
+big-integer sums.  counting caches a weight-free histogram per dense
+ground set on top of it, so a repeated count on one set skips both.
+Factoring has one trial-division loop, _prime_factors, which finds
+each prime and its exponent in one pass; factorize and the squarefree
+divisor walk both read it.  It stays pure Python: past 2^16 it stops
+at a leftover that a Miller-Rabin test on the bases up to 41 proves
+prime, exact below 3317044064679887385961981, so no probable prime
+ever enters a count.
 """
 
 from functools import lru_cache
@@ -30,8 +34,8 @@ _WITNESS_BOUND = 3317044064679887385961981
 
 @lru_cache(maxsize=8)
 def moebius_sieve(limit: int):
-    """mu[0..limit] as a read-only int8 array, sieved in one pass;
-    mu[0] is a filler zero."""
+    """mu[0..limit] as a read-only int8 array, sieved by
+    _kernels.moebius_values; mu[0] is a filler zero."""
     check_positive(limit=limit)
     mu = _kernels.moebius_values(limit)
     mu.flags.writeable = False

@@ -5,13 +5,18 @@ itertools recounts, and the floor-and-epsilon formulas from the
 literature.  None of them call the package's fast paths, so the fast
 paths are never used to check themselves.  element_divisor_terms is the
 former small-set divisor source, kept here as the reference the
-shared-divisor source is checked against.
+shared-divisor source is checked against, and per_prime_moebius the
+former Möbius sieve, which looped over every prime up to its limit.
+
+Every test starts with an empty subset-histogram cache, so a test that
+counts sieve or kernel calls sees the same calls in any order.
 """
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 from relprime import (
@@ -19,7 +24,8 @@ from relprime import (
     Progression,
     validate_union,
 )
-from relprime.numtheory import squarefree_divisor_terms
+from relprime.counting import subset_histogram
+from relprime.numtheory import primes_up_to, squarefree_divisor_terms
 
 settings.register_profile(
     "suite",
@@ -28,6 +34,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def cold_subset_histograms():
+    subset_histogram.cache_clear()
+
+
+def per_prime_moebius(limit: int):
+    """mu[0..limit] as an int8 array, marked from every prime <= limit."""
+    import numpy as np
+
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_up_to(limit):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
 
 
 def scan_multiples(p: Progression, d: int) -> int:

@@ -14,7 +14,9 @@ the per-term sum it replaces.
 
 import json
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from math import gcd, isqrt
 from operator import floordiv
@@ -52,6 +54,7 @@ from relprime.counting import (
     power_of_two_minus_one,
     shared_divisor_sum,
     shared_divisor_terms,
+    subset_histogram,
     subset_sum,
     tuple_sum,
 )
@@ -336,6 +339,82 @@ def test_grouped_walk_equals_direct_sum_on_random_unions():
             assert f_k(X, k) == direct_subset_sum(X, lambda e: binomial(e, k)), (str(X), k)
 
 
+def test_cached_histogram_counts_equal_direct_sum_cold_and_warm():
+    for X in walked_sets():
+        counters = [f] + [partial(f_k, k=k) for k in range(1, X.size + 2)]
+        expected = [direct_subset_sum(X, power_of_two_minus_one)]
+        expected += [direct_subset_sum(X, lambda e, k=k: binomial(e, k)) for k in range(1, X.size + 2)]
+        cold = []
+        for count in counters:
+            subset_histogram.cache_clear()
+            cold.append(count(X))
+        hits = subset_histogram.cache_info().hits
+        warm = [count(X) for count in counters]
+        assert subset_histogram.cache_info().hits == hits + len(counters)
+        assert cold == warm == expected, str(X)
+
+
+def test_a_second_count_on_a_reparsed_set_walks_nothing(monkeypatch):
+    kernel_calls = []
+    sieve_calls = []
+    kernel, sieve = counting.union_multiples, counting.moebius_sieve
+
+    def kernel_spy(X, d):
+        kernel_calls.append(d)
+        return kernel(X, d)
+
+    def sieve_spy(limit):
+        sieve_calls.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(counting, "union_multiples", kernel_spy)
+    monkeypatch.setattr(counting, "moebius_sieve", sieve_spy)
+    first = parse_set_spec("1..2000 + ap(2001,7,300)")
+    again = parse_set_spec("ap(2001,7,300) + 1..2000")
+    assert again == first
+    total = f(first)
+    assert kernel_calls and sieve_calls == [first.max_element]
+    kernel_calls.clear()
+    sieve_calls.clear()
+    assert f_k(again, 3) == direct_subset_sum(first, lambda e: binomial(e, 3))
+    assert f(again) == total
+    assert kernel_calls == sieve_calls == []
+
+
+def test_histogram_cache_holds_eight_sets_as_tuples():
+    sets = walked_sets()[:10]
+    for X in sets:
+        f(X)
+    info = subset_histogram.cache_info()
+    assert info.maxsize == 8
+    assert info.currsize == 8
+    for X in sets[-8:]:
+        pairs = subset_histogram(X)
+        assert type(pairs) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
+        assert all(type(c) is int and c and type(e) is int for c, e in pairs)
+    assert subset_histogram.cache_info().misses == info.misses
+    # the walk meets d = 1, and so |X|, first
+    assert subset_histogram(parse_set_spec("1..2000"))[0] == (1, 2000)
+
+
+def test_threads_share_the_histogram_cache():
+    # more sets than the cache holds and more threads than cores, with
+    # frequent switches, so hits, misses and evictions interleave
+    sets = walked_sets()[:12]
+    expected = [direct_subset_sum(X, power_of_two_minus_one) for X in sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(f, X) for _ in range(4) for X in sets]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected * 4
+    assert subset_histogram.cache_info().currsize == 8
+
+
 def test_grouped_walk_equals_direct_sum_on_a_wide_interval():
     X = parse_set_spec("1..30000")
     total = f(X)
@@ -356,14 +435,14 @@ def test_sieve_stream_hands_only_python_ints_to_the_walk(monkeypatch):
     # the sieve is an int8 array; a numpy scalar reaching the kernel or
     # the grouping would wrap around in the kernel's and weight's arithmetic
     streamed = []
-    group = counting.grouped
+    group = counting.histogram
 
-    def spy(terms, kernel, weight):
+    def spy(terms, kernel):
         terms = list(terms)
         streamed.extend(terms)
-        return group(terms, kernel, weight)
+        return group(terms, kernel)
 
-    monkeypatch.setattr(counting, "grouped", spy)
+    monkeypatch.setattr(counting, "histogram", spy)
     kernel_args = []
 
     def kernel(d):

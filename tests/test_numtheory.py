@@ -6,10 +6,11 @@ from math import factorial, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relprime import DomainError
+from relprime._kernels import moebius_values
 from relprime.numtheory import (
     factorize,
     moebius,
@@ -20,6 +21,7 @@ from relprime.numtheory import (
     squarefree_divisor_terms,
 )
 from relprime import numtheory
+from conftest import per_prime_moebius
 
 
 def test_sieve_small_values():
@@ -54,6 +56,15 @@ def test_sieve_matches_single_value():
     table = moebius_sieve(400)
     for d in range(1, 401):
         assert table[d] == moebius(d)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=20000))
+@example(10**6)
+def test_square_root_sieve_equals_the_per_prime_sieve(limit):
+    mu = moebius_values(limit)
+    assert mu.dtype == np.int8
+    assert np.array_equal(mu, per_prime_moebius(limit))
 
 
 def test_moebius_identity_over_divisors():
