@@ -6,19 +6,22 @@ vectorized numpy.  The prime sieve crosses off multiples of the primes
 up to the square root of its limit.  The Möbius sieve loops over the
 same primes to mark mu, then gives each n its one prime factor above
 the square root, if it has one, with one fancy-indexed sign flip per
-cofactor m.  The subset pass still visits every subset and
-takes its gcd directly, but in blocks of fixed size: it folds
-2^12-entry gcd tables against each other, so its memory stays bounded
-whatever the budget, while its time grows with 2^|X|.  The tuple walk
-counts prefixes by class, (gcd so far, last value), in a dict, taking
-one step per class and next value and so never more than one per
-prefix, and counts its last position with np.gcd.  It holds its
-classes, each of whose gcds divides its last value, so at most n of
-them for ordered tuples and about n ln n otherwise, and one window of
-at most 2^16 values.  Integers of any size take the same path: gcds
-that fit int64 run on int64 arrays, and past int64 on object arrays of
-Python ints, which np.gcd takes as well.  Every function returns the
-same integers its definition does.
+cofactor m.  Both oracle kernels count by class in a dict and finish
+with np.gcd.  The subset pass splits every subset into a low part, from
+the first 12 elements, and a high part: it counts the high parts by
+(gcd, size) class, one step per class and element, and folds each
+distinct class gcd against the 2^12-entry gcd table of the low parts
+once.  So it never takes more steps than there are high parts, and
+usually far fewer, and it refuses to hold more than a fixed number of
+classes.  The tuple walk counts prefixes by class, (gcd so far, last
+value), taking one step per class and next value and so never more
+than one per prefix, and counts its last position with np.gcd.  It
+holds its classes, each of whose gcds divides its last value, so at
+most n of them for ordered tuples and about n ln n otherwise, and one
+window of at most 2^16 values.  Integers of any size take the same
+path: the arrays are int64, cast to object arrays of Python ints, which
+np.gcd takes as well, only for a gcd past int64.  Every function
+returns the same integers its definition does.
 
 The formula paths touch these arrays only through the Möbius table:
 numtheory caches the int8 array moebius_values returns, made
@@ -32,16 +35,25 @@ plain Python and need none.
 """
 
 import sys
+from itertools import groupby
 from math import gcd, isqrt
+
+from .errors import BudgetExceededError
 
 BACKEND = "numpy"
 
 ORDERED, NONDECREASING, STRICT = 0, 1, 2
 
-# the subset pass works on tables of 2^_SUBSET_BLOCK_BITS entries, the
-# tuple walk's last position on windows of at most _TUPLE_BLOCK values
+# the subset pass folds its high classes against one table of
+# 2^_SUBSET_BLOCK_BITS entries, the tuple walk its last position against
+# windows of at most _TUPLE_BLOCK values
 _SUBSET_BLOCK_BITS = 12
 _TUPLE_BLOCK = 1 << 16
+# the subset walk refuses more (gcd, size) classes than this, so its dicts
+# stay under about 64 MB: tracemalloc saw a 37 MB peak at the refusal for
+# x_i = P/p_i, whose gcds pass 64 bits; the default budget of 22
+# elements allows at most 2^10 classes
+_SUBSET_CLASSES = 1 << 17
 INT64_MAX = 2**63 - 1
 
 
@@ -96,69 +108,68 @@ def moebius_values(limit: int):
     return mu
 
 
-def subset_gcd_counts(elements, fold: int):
+def subset_gcd_counts(elements, fold: int) -> list:
     """counts[c] = number of c-element subsets with gcd(subset, fold) == 1.
 
     Every subset is the union of a low part, drawn from the first
     _SUBSET_BLOCK_BITS elements, and a high part, drawn from the rest.
-    The gcd table of the low parts is built once; the high parts are
-    walked in blocks of the same size seeded with ``fold``, and each high
-    gcd h is folded against the whole low table: h == 1 counts every low
-    part, any other h those with gcd(low, h) == 1 (h == 0, from fold 0
-    and an empty high part, leaves gcd(low, 0) = low).  fold = 0 leaves
-    the plain gcd of the subset.  Accepts a list or an array of integers
-    of any size: the gcd tables are int64 when fold and every element
-    fit, and object arrays of Python ints otherwise.
+    The gcd table of the low parts is built once.  The high parts are
+    counted by class, (gcd folded with fold, size), in a dict that takes
+    the rest of the elements one at a time, so there are never more
+    classes than high parts.  Each distinct class gcd h is then folded
+    against the whole low table once: the low parts with
+    gcd(low, h) == 1, by size, shifted by each class's size and
+    multiplied by its count (h == 0, from fold 0 and an empty high part,
+    leaves gcd(low, 0) = low).  fold = 0 leaves the plain gcd of the
+    subset.  Accepts a list or an array of integers of any size, and
+    returns Python ints.  Past _SUBSET_CLASSES classes the walk raises
+    BudgetExceededError, before its dicts outgrow about 64 MB.
     """
     import numpy as np
 
     values = [int(v) for v in elements]
-    dtype = np.int64 if max([fold, *values]) <= INT64_MAX else object
     low, high = values[:_SUBSET_BLOCK_BITS], values[_SUBSET_BLOCK_BITS:]
-    low_gcd, low_size = _gcd_table(low, dtype)
-    width = len(low) + 1
-    every = np.bincount(low_size, minlength=width)
-    counts = np.zeros(len(values) + 1, dtype=np.int64)
-    for high_gcd, high_size in _subset_blocks(high, fold, dtype):
-        for h, offset in zip(high_gcd.tolist(), high_size.tolist()):
-            if h == 1:
-                hist = every
-            else:
-                hist = np.bincount(
-                    low_size[np.gcd(low_gcd, h) == 1], minlength=width
-                )
-            counts[offset : offset + width] += hist
+    classes = {(fold, 0): 1}
+    for v in high:
+        grown = dict(classes)
+        for (g, size), count in classes.items():
+            key = (gcd(g, v), size + 1)
+            grown[key] = grown.get(key, 0) + count
+        if len(grown) > _SUBSET_CLASSES:
+            raise BudgetExceededError(
+                f"the subset walk over {len(values)} elements needs more than "
+                f"{_SUBSET_CLASSES} (gcd, size) classes"
+            )
+        classes = grown
+    low_gcd, low_size = _gcd_table(low)
+    counts = [0] * (len(values) + 1)
+    for h, sizes in groupby(sorted(classes.items()), key=lambda item: item[0][0]):
+        coprime = low_size[_gcd_with(low_gcd, h) == 1]
+        hist = np.bincount(coprime, minlength=len(low) + 1).tolist()
+        for (_, size), count in sizes:
+            for c, n in enumerate(hist):
+                counts[size + c] += n * count
     counts[0] = 0  # the empty subset is never counted
     return counts
 
 
-def _gcd_table(values, dtype):
+def _gcd_table(values):
     # doubling pass: entry s is the gcd of the values selected by bit s
     import numpy as np
 
-    table = np.zeros(1, dtype=dtype)
+    table = np.zeros(1, dtype=np.int64)
     size = np.zeros(1, dtype=np.intp)
     for v in values:
-        table = np.concatenate([table, np.gcd(table, v)])
+        table = np.concatenate([table, _gcd_with(table, v)])
         size = np.concatenate([size, size + 1])
     return table, size
 
 
-def _subset_blocks(values, fold, dtype):
-    # (gcd, size) blocks over every subset of values, each gcd folded with
-    # fold: the last _SUBSET_BLOCK_BITS values form one table, folded with
-    # every gcd of the subsets of the values before them
+def _gcd_with(table, g):
+    # np.gcd(table, g) on int64 arrays, cast to Python ints for a g past int64
     import numpy as np
 
-    split = max(len(values) - _SUBSET_BLOCK_BITS, 0)
-    table, size = _gcd_table(values[split:], dtype)
-    if split:
-        outer = _subset_blocks(values[:split], fold, dtype)
-    else:
-        outer = [(np.array([fold], dtype=dtype), np.zeros(1, dtype=np.intp))]
-    for outer_gcd, outer_size in outer:
-        for g, s in zip(outer_gcd.tolist(), outer_size.tolist()):
-            yield np.gcd(table, g), size + s
+    return np.gcd(table.astype(object, copy=False) if g > INT64_MAX else table, g)
 
 
 def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
@@ -201,7 +212,5 @@ def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
         values = span(last, k - 1)
         for lo in range(values.start, values.stop, _TUPLE_BLOCK):
             window = np.arange(lo, min(lo + _TUPLE_BLOCK, values.stop), dtype=np.int64)
-            if g > INT64_MAX:
-                window = window.astype(object)
-            total += count * int(np.count_nonzero(np.gcd(window, g) == 1))
+            total += count * int(np.count_nonzero(_gcd_with(window, g) == 1))
     return total

@@ -1,4 +1,4 @@
-"""Möbius function, squarefree divisor terms, and small factoring utilities.
+"""Möbius sieve, squarefree divisor terms, and factoring.
 
 Everything works on plain Python integers so results stay exact at any
 size.  The prime and Möbius sieves are the only array-backed pieces,
@@ -19,7 +19,6 @@ ever enters a count.
 """
 
 from functools import lru_cache
-from math import prod
 
 from . import _kernels
 from .errors import check_positive
@@ -46,14 +45,6 @@ def factorize(n: int) -> list:
     """Prime factorization [(p, e), ...] by trial division, ascending p."""
     check_positive(n=n)
     return _prime_factors(n, n)
-
-
-def moebius(n: int) -> int:
-    """Single mu(n) from the factorization of n."""
-    factors = factorize(n)
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
 
 
 def squarefree_divisor_terms(n: int, bound: int) -> list:
@@ -132,22 +123,3 @@ def _proven_prime(n: int) -> bool:
             return False
     return True
 
-
-def primes_up_to(x: int) -> list:
-    """All primes p <= x."""
-    return _kernels.primes(x).tolist()
-
-
-def primorial_up_to(x: int) -> int:
-    """Product of all primes p <= x; 1 when there are none.
-
-    This is the squarefree kernel of x!, so Möbius sums over divisors of
-    x! and of this product agree term for term.
-    """
-    check_positive(x=x)
-    return prod(primes_up_to(x))
-
-
-def radical(n: int) -> int:
-    """Squarefree kernel: product of the distinct primes dividing n."""
-    return prod(p for p, _ in factorize(n))

@@ -4,10 +4,11 @@ Everything here recounts from the definitions so the formula modules can
 be checked against genuinely independent code; the only shared pieces are
 gcd itself and the set model's element enumeration.  The recounts run in
 the kernels of _kernels, one path for integers of every size: the subset
-pass visits every subset and takes its gcd, in memory bounded by a fixed
-block size, and the tuple walk counts prefixes by (gcd so far, last
-value) class, one step per class and next value.  Budgets bound the
-time, stopping runaway recounts before they start.
+pass counts subsets by (gcd, size) class, folding the classes of all but
+the first 12 elements against the gcd table of those 12, and the tuple
+walk counts prefixes by (gcd so far, last value) class, one step per
+class and next value.  Budgets bound the work, stopping runaway recounts
+before they start, and the subset walk refuses to outgrow its memory.
 """
 
 from dataclasses import dataclass
@@ -38,8 +39,10 @@ def subset_gcd_histogram(X: ProgressionUnion, fold: int = 0, budget=None) -> tup
     """counts[c] = number of c-element subsets A of X with gcd(A + {fold}) = 1.
 
     fold = 0 contributes nothing to the gcd, giving the plain relatively
-    prime count; fold = n gives the relatively-prime-to-n count.  One pass
-    over all 2^|X| - 1 nonempty subsets.
+    prime count; fold = n gives the relatively-prime-to-n count.  The
+    budget bounds |X|; the walk takes at most one step per subset of all
+    but 12 elements, and raises BudgetExceededError past a fixed number
+    of (gcd, size) classes.
     """
     budget = budget or DEFAULT_BUDGET
     if X.size > budget.max_set_size:
@@ -48,8 +51,7 @@ def subset_gcd_histogram(X: ProgressionUnion, fold: int = 0, budget=None) -> tup
         )
     if fold < 0:
         raise DomainError(f"fold must be nonnegative, got {fold}")
-    counts = _kernels.subset_gcd_counts(enumerate_elements(X), fold)
-    return tuple(int(c) for c in counts)
+    return tuple(_kernels.subset_gcd_counts(enumerate_elements(X), fold))
 
 
 def brute_f(X: ProgressionUnion, budget=None) -> int:

@@ -3,10 +3,15 @@
 The helpers re-derive everything from definitions: element scans,
 itertools recounts, and the floor-and-epsilon formulas from the
 literature.  None of them call the package's fast paths, so the fast
-paths are never used to check themselves.  element_divisor_terms is the
-former small-set divisor source, kept here as the reference the
-shared-divisor source is checked against, and per_prime_moebius the
-former Möbius sieve, which looped over every prime up to its limit.
+paths are never used to check themselves.  Former package code is kept
+here as the reference its replacement is checked against:
+element_divisor_terms is the former small-set divisor source, checked
+against the shared-divisor source; per_prime_moebius the former Möbius
+sieve, which looped over every prime up to its limit; and
+blocked_subset_counts the former subset pass, which took the gcd of
+every subset in blocks.  moebius, radical, primes_up_to and
+primorial_up_to, which the package itself never calls, serve the
+bridge identities.
 
 Every test starts with an empty subset-histogram cache, so a test that
 counts sieve or kernel calls sees the same calls in any order.
@@ -14,7 +19,7 @@ counts sieve or kernel calls sees the same calls in any order.
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -24,8 +29,10 @@ from relprime import (
     Progression,
     validate_union,
 )
+from relprime import _kernels
 from relprime.counting import subset_histogram
-from relprime.numtheory import primes_up_to, squarefree_divisor_terms
+from relprime.errors import check_positive
+from relprime.numtheory import factorize, squarefree_divisor_terms
 
 settings.register_profile(
     "suite",
@@ -39,6 +46,34 @@ settings.load_profile("suite")
 @pytest.fixture(autouse=True)
 def cold_subset_histograms():
     subset_histogram.cache_clear()
+
+
+def primes_up_to(x: int) -> list:
+    """All primes p <= x."""
+    return _kernels.primes(x).tolist()
+
+
+def primorial_up_to(x: int) -> int:
+    """Product of all primes p <= x; 1 when there are none.
+
+    This is the squarefree kernel of x!, so Möbius sums over divisors of
+    x! and of this product agree term for term.
+    """
+    check_positive(x=x)
+    return prod(primes_up_to(x))
+
+
+def radical(n: int) -> int:
+    """Squarefree kernel: product of the distinct primes dividing n."""
+    return prod(p for p, _ in factorize(n))
+
+
+def moebius(n: int) -> int:
+    """Single mu(n) from the factorization of n."""
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 def per_prime_moebius(limit: int):
@@ -129,6 +164,62 @@ def subsets_recount(elements, n=None):
             if g == 1:
                 by_k[k] += 1
     return sum(by_k), by_k
+
+
+def blocked_subset_counts(elements, fold):
+    """counts[c] = number of c-element subsets with gcd(subset, fold) == 1.
+
+    The former subset pass, which visits every subset: the gcd table of
+    the first _kernels._SUBSET_BLOCK_BITS elements is built once, the
+    subsets of the rest are walked in blocks of the same size seeded
+    with fold, and each of their gcds h is folded against the whole low
+    table.  Tables are int64 when fold and every element fit, object
+    arrays of Python ints otherwise; counts are int64.
+    """
+    import numpy as np
+
+    bits = _kernels._SUBSET_BLOCK_BITS
+    values = [int(v) for v in elements]
+    dtype = np.int64 if max([fold, *values]) <= _kernels.INT64_MAX else object
+    low, high = values[:bits], values[bits:]
+    low_gcd, low_size = gcd_table(low, dtype)
+    width = len(low) + 1
+    counts = np.zeros(len(values) + 1, dtype=np.int64)
+    for high_gcd, high_size in subset_blocks(high, fold, dtype, bits):
+        for h, offset in zip(high_gcd.tolist(), high_size.tolist()):
+            hist = np.bincount(low_size[np.gcd(low_gcd, h) == 1], minlength=width)
+            counts[offset : offset + width] += hist
+    counts[0] = 0
+    return counts
+
+
+def gcd_table(values, dtype):
+    """(gcd, size) of every subset of values, entry s selecting by bit s."""
+    import numpy as np
+
+    table = np.zeros(1, dtype=dtype)
+    size = np.zeros(1, dtype=np.intp)
+    for v in values:
+        table = np.concatenate([table, np.gcd(table, v)])
+        size = np.concatenate([size, size + 1])
+    return table, size
+
+
+def subset_blocks(values, fold, dtype, bits):
+    """(gcd, size) blocks over every subset of values, each gcd folded
+    with fold: the last `bits` values form one table, folded with every
+    gcd of the subsets of the values before them."""
+    import numpy as np
+
+    split = max(len(values) - bits, 0)
+    table, size = gcd_table(values[split:], dtype)
+    if split:
+        outer = subset_blocks(values[:split], fold, dtype, bits)
+    else:
+        outer = [(np.array([fold], dtype=dtype), np.zeros(1, dtype=np.intp))]
+    for outer_gcd, outer_size in outer:
+        for g, s in zip(outer_gcd.tolist(), outer_size.tolist()):
+            yield np.gcd(table, g), size + s
 
 
 _TUPLE_WALKS = {

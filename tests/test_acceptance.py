@@ -29,10 +29,12 @@ from relprime import (
     t_count,
     validate_union,
 )
-from relprime.numtheory import primorial_up_to, radical, squarefree_divisor_terms
+from relprime.numtheory import squarefree_divisor_terms
 from conftest import (
     coprime_floor_eps_count,
     floor_eps_count,
+    primorial_up_to,
+    radical,
     random_union,
     scan_multiples,
 )

@@ -221,6 +221,13 @@ def test_budget_exits_4(capsys):
     assert code == 4
 
 
+def test_subset_class_ceiling_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(rp._kernels, "_SUBSET_CLASSES", 10)
+    code, out, err = run(capsys, "verify", "f", "--set", "1..20")
+    assert (code, out) == (4, "")
+    assert err == "relprime: the subset walk over 20 elements needs more than 10 (gcd, size) classes\n"
+
+
 @pytest.mark.parametrize(
     "raised, code, message",
     [

@@ -25,8 +25,7 @@ from relprime import (
     validate_union,
 )
 from relprime.counting import binomial, mobius_sum, power_of_two_minus_one
-from relprime.numtheory import primorial_up_to, radical
-from conftest import random_union
+from conftest import primorial_up_to, radical, random_union
 
 
 def pascal_binomial(n, k):

@@ -58,9 +58,9 @@ from relprime.counting import (
     subset_sum,
     tuple_sum,
 )
-from relprime.numtheory import moebius, primorial_up_to, squarefree_divisor_terms
+from relprime.numtheory import squarefree_divisor_terms
 from relprime.setmodel import enumerate_elements, union_multiples
-from conftest import element_divisor_terms, random_union
+from conftest import element_divisor_terms, moebius, primorial_up_to, random_union
 
 SMALL_PRIMORIAL = primorial_up_to(13)  # 30030
 BIG_PRIMORIAL = primorial_up_to(50)  # about 6.1 * 10^17

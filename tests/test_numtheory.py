@@ -11,17 +11,9 @@ from hypothesis import strategies as st
 
 from relprime import DomainError
 from relprime._kernels import moebius_values
-from relprime.numtheory import (
-    factorize,
-    moebius,
-    moebius_sieve,
-    primes_up_to,
-    primorial_up_to,
-    radical,
-    squarefree_divisor_terms,
-)
+from relprime.numtheory import factorize, moebius_sieve, squarefree_divisor_terms
 from relprime import numtheory
-from conftest import per_prime_moebius
+from conftest import moebius, per_prime_moebius, primes_up_to, primorial_up_to, radical
 
 
 def test_sieve_small_values():

@@ -22,18 +22,28 @@ from relprime import (
     brute_tuples,
     enumerate_elements,
     f,
+    f_k,
     g_count,
     h_count,
     interval,
     l_count,
     parse_set_spec,
+    phi,
     subset_gcd_histogram,
     t_count,
     validate_union,
 )
-from relprime.numtheory import moebius, primes_up_to, primorial_up_to
 from relprime import _kernels
-from conftest import random_union, subsets_recount, tuple_walk, tuples_recount
+from conftest import (
+    blocked_subset_counts,
+    moebius,
+    primes_up_to,
+    primorial_up_to,
+    random_union,
+    subsets_recount,
+    tuple_walk,
+    tuples_recount,
+)
 
 import numpy as np
 
@@ -214,8 +224,8 @@ def test_kernels_agree_with_definitions():
 
 @pytest.fixture(params=[2, 3])
 def small_blocks(request, monkeypatch):
-    # subset tables and tuple windows of 2^2 and 2^3 entries, so every
-    # split path of the subset pass and every window of the tuple walk runs
+    # subset tables and tuple windows of 2^2 and 2^3 entries, so the
+    # subset pass walks classes and the tuple walk runs every window
     bits = request.param
     monkeypatch.setattr(_kernels, "_SUBSET_BLOCK_BITS", bits)
     monkeypatch.setattr(_kernels, "_TUPLE_BLOCK", 1 << bits)
@@ -232,12 +242,64 @@ def test_subset_kernel_matches_recount_in_small_blocks(small_blocks):
         for fold in FOLDS:
             _, by_k = subsets_recount(members, fold or None)
             assert list(_kernels.subset_gcd_counts(elements, fold)) == by_k
-    # elements at and past 2^63, in the low table and in the outer blocks
+    # elements at and past 2^63, in the low table and in the classes
     for members in ([2**63 - 4 + 3 * v for v in range(9)],
                     [6 * v for v in range(1, 7)] + [2**64 + 6 * v for v in range(4)]):
         for fold in FOLDS + HUGE_MODULI:
             _, by_k = subsets_recount(members, fold or None)
             assert list(_kernels.subset_gcd_counts(members, fold)) == by_k
+
+
+@settings(max_examples=150)
+@given(
+    picks=st.lists(
+        st.tuples(st.integers(1, 40), st.sampled_from([1, 6, 2**63, 2**64 + 1])),
+        max_size=10,
+    ),
+    fold=st.sampled_from(FOLDS + [2**64 + 1]),
+    bits=st.integers(min_value=1, max_value=4),
+)
+def test_class_walk_matches_the_blocked_pass(picks, fold, bits):
+    # the former pass, which took the gcd of every subset, and an
+    # itertools recount; products with 2^63 and 2^64 + 1 put elements
+    # past int64 in the low table, in the classes, or in both
+    elements = list(dict.fromkeys(a * b for a, b in picks))
+    _, by_k = subsets_recount(elements, fold or None)
+    with patch.object(_kernels, "_SUBSET_BLOCK_BITS", bits):
+        assert _kernels.subset_gcd_counts(elements, fold) == by_k
+        assert blocked_subset_counts(elements, fold).tolist() == by_k
+
+
+def test_oracle_reaches_sets_past_the_default_budget():
+    # counts past 2^63, where the classes carry Python ints
+    for spec in ("1..100", "ap(3,5,200)"):
+        X = parse_set_spec(spec)
+        raised = OracleBudget(max_set_size=X.size)
+        assert brute_f(X, raised) == f(X) > 2**64
+        assert brute_f_k(X, 5, raised) == f_k(X, 5)
+        assert brute_phi(X, 30030, raised) == phi(X, 30030)
+
+
+def test_subset_walk_refuses_past_its_class_ceiling(monkeypatch):
+    # x_i = P / p_i gives every subset its own gcd, so 6 elements over a
+    # table of 2^2 leave 2^4 classes
+    primes = [2, 3, 5, 7, 11, 13]
+    P = 30030
+    X = validate_union([interval(P // p, P // p) for p in primes])
+    monkeypatch.setattr(_kernels, "_SUBSET_BLOCK_BITS", 2)
+    monkeypatch.setattr(_kernels, "_SUBSET_CLASSES", 16)
+    assert brute_f(X) == 1
+    monkeypatch.setattr(_kernels, "_SUBSET_CLASSES", 15)
+    with pytest.raises(BudgetExceededError,
+                       match="^the subset walk over 6 elements needs more than 15 "):
+        brute_f(X)
+
+
+def test_default_budget_stays_under_the_class_ceiling():
+    # the walk holds at most one class per subset of the elements past
+    # the table, so the default budget never meets the ceiling
+    high = OracleBudget().max_set_size - _kernels._SUBSET_BLOCK_BITS
+    assert 2**high <= _kernels._SUBSET_CLASSES
 
 
 def test_tuple_kernel_matches_recount_in_small_blocks(small_blocks):

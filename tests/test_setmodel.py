@@ -1,5 +1,8 @@
 """Progressions, unions, the divisibility kernel, and the set grammar."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from relprime import (
     validate_union,
 )
 from relprime.setmodel import ENUMERATION_CAP
-from conftest import coprime_floor_eps_count, floor_eps_count, scan_multiples
+from conftest import coprime_floor_eps_count, floor_eps_count, random_union, scan_multiples
 
 progressions = st.builds(
     Progression,
@@ -198,3 +201,28 @@ def test_parse_set_spec_errors():
         parse_set_spec("5..3")
     with pytest.raises(OverlapError):
         parse_set_spec("1..5 + 3..4")
+
+
+def subsets_by_gcd(elements):
+    """N[g], the nonempty subsets whose gcd is g, by a DP over the
+    elements: each x sends every gcd g so far to gcd(g, x), and starts
+    the subset {x}."""
+    N = {}
+    for x in elements:
+        for g, count in list(N.items()):
+            N[gcd(g, x)] = N.get(gcd(g, x), 0) + count
+        N[x] = N.get(x, 0) + 1
+    return N
+
+
+def test_subsets_by_gcd_count_the_multiples_of_every_d():
+    # the subsets of X_d are those whose gcd d divides, so
+    # sum_{d | g} N(g) = 2^|X_d| - 1: the kernel against a gcd DP, with
+    # no Möbius sum in between
+    rng = random.Random(91)
+    for _ in range(60):
+        X = random_union(rng, size_cap=16)
+        N = subsets_by_gcd(enumerate_elements(X))
+        assert sum(N.values()) == 2**X.size - 1
+        for d in range(1, X.max_element + 2):
+            assert sum(c for g, c in N.items() if g % d == 0) == 2 ** union_multiples(X, d) - 1

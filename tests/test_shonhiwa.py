@@ -23,7 +23,7 @@ from relprime import (
 )
 from relprime import shonhiwa
 from relprime.counting import binomial
-from relprime.numtheory import primorial_up_to, radical
+from conftest import primorial_up_to, radical
 
 
 def test_s_count_examples():
