@@ -1,27 +1,27 @@
-"""Hot array loops: the prime and Möbius sieves, the subset gcd histogram
-and the tuple walk.
+"""Hot loops: the prime and Möbius sieves, the subset class walk and
+the tuple walk.
 
-Each has one implementation.  The sieves and the subset pass are
-vectorized numpy.  The prime sieve crosses off multiples of the primes
-up to the square root of its limit.  The Möbius sieve loops over the
-same primes to mark mu, then gives each n its one prime factor above
-the square root, if it has one, with one fancy-indexed sign flip per
-cofactor m.  Both oracle kernels count by class in a dict and finish
-with np.gcd.  The subset pass splits every subset into a low part, from
-the first 12 elements, and a high part: it counts the high parts by
-(gcd, size) class, one step per class and element, and folds each
-distinct class gcd against the 2^12-entry gcd table of the low parts
-once.  So it never takes more steps than there are high parts, and
-usually far fewer, and it refuses to hold more than a fixed number of
-classes.  The tuple walk counts prefixes by class, (gcd so far, last
-value), taking one step per class and next value and so never more
-than one per prefix, and counts its last position with np.gcd.  It
-holds its classes, each of whose gcds divides its last value, so at
-most n of them for ordered tuples and about n ln n otherwise, and one
-window of at most 2^16 values.  Integers of any size take the same
-path: the arrays are int64, cast to object arrays of Python ints, which
-np.gcd takes as well, only for a gcd past int64.  Every function
-returns the same integers its definition does.
+Each has one implementation.  The sieves are vectorized numpy.  The
+prime sieve crosses off multiples of the primes up to the square root
+of its limit.  The Möbius sieve loops over the same primes to mark mu,
+then gives each n its one prime factor above the square root, if it
+has one, with one fancy-indexed sign flip per cofactor m.  Both oracle
+kernels count by class in a dict.  The subset walk splits every subset
+into a low part, from the first 12 elements, and a high part, counts
+each side by (gcd, size) class, one step per class and element, and
+joins the two sides on coprime gcds.  So neither side holds more
+classes than it has parts, 2^12 low and 2^(|X| - 12) high, and usually
+far fewer, and each side refuses to hold more than a fixed number of
+classes.  It is plain Python and loads no numpy.  The tuple walk
+counts prefixes by class, (gcd so far, last value), taking one step
+per class and next value and so never more than one per prefix, and
+counts its last position with np.gcd.  It holds its classes, each of
+whose gcds divides its last value, so at most n of them for ordered
+tuples and about n ln n otherwise, and one window of at most 2^16
+values.  Integers of any size take the same paths: the tuple window is
+int64, cast to an object array of Python ints, which np.gcd takes as
+well, only for a gcd past int64.  Every function returns the same
+integers its definition does.
 
 The formula paths touch these arrays only through the Möbius table:
 numtheory caches the int8 array moebius_values returns, made
@@ -30,12 +30,11 @@ to Python ints.
 
 numpy is imported inside each function that builds arrays, never at
 module level, so importing the package loads no numpy: it is loaded on
-first use, by the sieves and the oracle only.  The constants below are
-plain Python and need none.
+first use, by the sieves and the tuple walk only.  The constants below
+are plain Python and need none.
 """
 
 import sys
-from itertools import groupby
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError
@@ -44,15 +43,15 @@ BACKEND = "numpy"
 
 ORDERED, NONDECREASING, STRICT = 0, 1, 2
 
-# the subset pass folds its high classes against one table of
-# 2^_SUBSET_BLOCK_BITS entries, the tuple walk its last position against
-# windows of at most _TUPLE_BLOCK values
+# the subset walk's low side takes the first _SUBSET_BLOCK_BITS elements,
+# so it holds at most 2^_SUBSET_BLOCK_BITS classes; the tuple walk counts
+# its last position in windows of at most _TUPLE_BLOCK values
 _SUBSET_BLOCK_BITS = 12
 _TUPLE_BLOCK = 1 << 16
-# the subset walk refuses more (gcd, size) classes than this, so its dicts
-# stay under about 64 MB: tracemalloc saw a 37 MB peak at the refusal for
-# x_i = P/p_i, whose gcds pass 64 bits; the default budget of 22
-# elements allows at most 2^10 classes
+# each side of the subset walk refuses more (gcd, size) classes than
+# this, so its dicts stay under about 64 MB: tracemalloc saw a 37 MB peak
+# at the refusal for x_i = P/p_i, whose gcds pass 64 bits; the default
+# budget of 22 elements allows at most 2^10 high classes
 _SUBSET_CLASSES = 1 << 17
 INT64_MAX = 2**63 - 1
 
@@ -113,56 +112,43 @@ def subset_gcd_counts(elements, fold: int) -> list:
 
     Every subset is the union of a low part, drawn from the first
     _SUBSET_BLOCK_BITS elements, and a high part, drawn from the rest.
-    The gcd table of the low parts is built once.  The high parts are
-    counted by class, (gcd folded with fold, size), in a dict that takes
-    the rest of the elements one at a time, so there are never more
-    classes than high parts.  Each distinct class gcd h is then folded
-    against the whole low table once: the low parts with
-    gcd(low, h) == 1, by size, shifted by each class's size and
-    multiplied by its count (h == 0, from fold 0 and an empty high part,
-    leaves gcd(low, 0) = low).  fold = 0 leaves the plain gcd of the
-    subset.  Accepts a list or an array of integers of any size, and
-    returns Python ints.  Past _SUBSET_CLASSES classes the walk raises
+    Each side is counted by class, (gcd folded with fold, size), so
+    neither side holds more classes than it has parts.  A low class
+    (g, s) and a high class (h, t) join into the subsets of size s + t
+    whose gcd with fold is gcd(g, h), so they count exactly when
+    gcd(g, h) == 1.  fold = 0 leaves the plain gcd of the subset; an
+    empty part then has gcd 0, and gcd(g, 0) = g.  Accepts a list or an
+    array of integers of any size, and returns Python ints.  Past
+    _SUBSET_CLASSES classes on either side the walk raises
     BudgetExceededError, before its dicts outgrow about 64 MB.
     """
-    import numpy as np
-
     values = [int(v) for v in elements]
-    low, high = values[:_SUBSET_BLOCK_BITS], values[_SUBSET_BLOCK_BITS:]
-    classes = {(fold, 0): 1}
-    for v in high:
+    low = _subset_classes(values[:_SUBSET_BLOCK_BITS], fold, len(values))
+    high = _subset_classes(values[_SUBSET_BLOCK_BITS:], fold, len(values))
+    counts = [0] * (len(values) + 1)
+    for (g, s), c in low.items():
+        for (h, t), d in high.items():
+            if gcd(g, h) == 1:
+                counts[s + t] += c * d
+    counts[0] = 0  # the empty subset is never counted
+    return counts
+
+
+def _subset_classes(values, start, total):
+    # (gcd, size) -> number of subsets of values, each gcd folded with start
+    classes = {(start, 0): 1}
+    for v in values:
         grown = dict(classes)
         for (g, size), count in classes.items():
             key = (gcd(g, v), size + 1)
             grown[key] = grown.get(key, 0) + count
         if len(grown) > _SUBSET_CLASSES:
             raise BudgetExceededError(
-                f"the subset walk over {len(values)} elements needs more than "
+                f"the subset walk over {total} elements needs more than "
                 f"{_SUBSET_CLASSES} (gcd, size) classes"
             )
         classes = grown
-    low_gcd, low_size = _gcd_table(low)
-    counts = [0] * (len(values) + 1)
-    for h, sizes in groupby(sorted(classes.items()), key=lambda item: item[0][0]):
-        coprime = low_size[_gcd_with(low_gcd, h) == 1]
-        hist = np.bincount(coprime, minlength=len(low) + 1).tolist()
-        for (_, size), count in sizes:
-            for c, n in enumerate(hist):
-                counts[size + c] += n * count
-    counts[0] = 0  # the empty subset is never counted
-    return counts
-
-
-def _gcd_table(values):
-    # doubling pass: entry s is the gcd of the values selected by bit s
-    import numpy as np
-
-    table = np.zeros(1, dtype=np.int64)
-    size = np.zeros(1, dtype=np.intp)
-    for v in values:
-        table = np.concatenate([table, _gcd_with(table, v)])
-        size = np.concatenate([size, size + 1])
-    return table, size
+    return classes
 
 
 def _gcd_with(table, g):

@@ -3,14 +3,15 @@
 Every count in the package is one sum: mu(d) * weight(kernel(d)) over
 squarefree d, where the kernel is |X_d| (union_multiples) for the subset
 counters here and floor(n/d) for the tuple counters in shonhiwa.
-divisor_sum is the one walk behind all nine.  It has two streams: with
-no modulus, every squarefree d up to the bound, read off the cached
-int8 Möbius sieve as Python ints, and summed into a weight-free
-histogram, the sum of mu per kernel value, which weigh then weighs
-once per value, because that walk meets each value many times; with a
-modulus, its squarefree divisors, found from its own primes and
-weighed term by term.  Small sets take a third source, the divisors
-two elements share (shared_divisor_sum).  mobius_sum keeps positive
+divisor_sum walks two of its three divisor sources: with no modulus,
+every squarefree d up to the bound, read off the cached int8 Möbius
+sieve as Python ints, and summed into a weight-free histogram, the sum
+of mu per kernel value, which weigh then weighs once per value, because
+that walk meets each value many times; with a modulus, its squarefree
+divisors, found from its own primes and weighed term by term.  Small
+sets take the third source, the divisors two elements share
+(shared_divisor_sum), which refuses a set whose shared divisors would
+pass _MAX_SHARED_WORK before building any.  mobius_sum keeps positive
 and negative contributions in two totals, for speed.
 
 The histogram of a dense ground set does not depend on the weight, so
@@ -26,9 +27,18 @@ from itertools import chain
 from math import comb, gcd, isqrt, prod
 from operator import floordiv
 
-from .errors import DomainError, check_positive
-from .numtheory import moebius_sieve, squarefree_divisor_terms
+from .errors import BudgetExceededError, DomainError, check_positive
+from .numtheory import factorize, moebius_sieve, squarefree_divisor_terms, squarefree_products
 from .setmodel import ProgressionUnion, interval, union_multiples, validate_union
+
+# the shared-divisor source builds each term once and counts it over
+# every part, so it refuses a set whose g_x have s squarefree divisors,
+# counted with repeats, where s * (parts + 1) passes this: x_i = P/p_i
+# over the first 14 primes needs 1.7 * 2^20 and answers in 0.4 s on a
+# 2-core host, over 15 primes 3.9 * 2^20; sets at the limit took at most
+# 2.9 s and 104 MB there, and the tests and the benchmark need at most
+# 1405
+_MAX_SHARED_WORK = 1 << 21
 
 
 def binomial(n: int, k: int) -> int:
@@ -148,14 +158,26 @@ def shared_divisor_terms(X: ProgressionUnion, modulus) -> tuple:
     gcd(r_x, R / r_x) otherwise, R the product of the distinct values
     of r_x.  Any d that divides two of the r_x divides both their g_x,
     so every d with |X_d| >= 2 is among the terms.  Only the g_x are
-    factored, and each divides its x.
+    factored, each once, and each divides its x.  A g_x with w distinct
+    primes has 2^w squarefree divisors; when their sum over the g_x,
+    times the parts of X plus one, passes _MAX_SHARED_WORK,
+    BudgetExceededError is raised before any term is built.
     """
     fold = 0 if modulus is None else modulus
     r = Counter(gcd(x, fold) for part in X.parts for x in part.elements())
     R = prod(r)
+    shared = {v if n > 1 else gcd(v, R // v) for v, n in r.items() if v > 1}
+    factored = [(g, [p for p, _ in factorize(g)]) for g in shared]
+    count = sum(1 << len(ps) for _, ps in factored)
+    if count * (len(X.parts) + 1) > _MAX_SHARED_WORK:
+        raise BudgetExceededError(
+            f"the {count} divisors shared among {X.size} elements, each built "
+            f"once and counted over {len(X.parts)} parts, pass the limit of "
+            f"{_MAX_SHARED_WORK}"
+        )
     terms = {1: 1}
-    for g in {v if n > 1 else gcd(v, R // v) for v, n in r.items() if v > 1}:
-        terms.update(squarefree_divisor_terms(g, g))
+    for g, ps in factored:
+        terms.update(squarefree_products(ps, g))
     return r[1], sorted(terms.items())
 
 

@@ -61,8 +61,14 @@ def squarefree_divisor_terms(n: int, bound: int) -> list:
     cap = min(n, bound)
     if cap < 1:
         return []
+    return squarefree_products([p for p, _ in _prime_factors(n, cap)], cap)
+
+
+def squarefree_products(primes, cap: int) -> list:
+    """Pairs (d, mu(d)) over the products d <= cap of distinct primes
+    from the list primes, ascending, the empty product 1 first."""
     terms = [(1, 1)]
-    for p, _ in _prime_factors(n, cap):
+    for p in primes:
         terms += [(d * p, -mu) for d, mu in terms if d * p <= cap]
     terms.sort()
     return terms

@@ -4,11 +4,12 @@ Everything here recounts from the definitions so the formula modules can
 be checked against genuinely independent code; the only shared pieces are
 gcd itself and the set model's element enumeration.  The recounts run in
 the kernels of _kernels, one path for integers of every size: the subset
-pass counts subsets by (gcd, size) class, folding the classes of all but
-the first 12 elements against the gcd table of those 12, and the tuple
-walk counts prefixes by (gcd so far, last value) class, one step per
-class and next value.  Budgets bound the work, stopping runaway recounts
-before they start, and the subset walk refuses to outgrow its memory.
+walk counts the subsets of the first 12 elements and of the rest by
+(gcd, size) class and joins the two on coprime gcds, in plain Python,
+and the tuple walk counts prefixes by (gcd so far, last value) class,
+one step per class and next value.  Budgets bound the work, stopping
+runaway recounts before they start, and the subset walk refuses to
+outgrow its memory.
 """
 
 from dataclasses import dataclass
@@ -40,9 +41,9 @@ def subset_gcd_histogram(X: ProgressionUnion, fold: int = 0, budget=None) -> tup
 
     fold = 0 contributes nothing to the gcd, giving the plain relatively
     prime count; fold = n gives the relatively-prime-to-n count.  The
-    budget bounds |X|; the walk takes at most one step per subset of all
-    but 12 elements, and raises BudgetExceededError past a fixed number
-    of (gcd, size) classes.
+    budget bounds |X|; the walk holds at most 2^12 classes for the first
+    12 elements and one per subset of the rest, and raises
+    BudgetExceededError past a fixed number of (gcd, size) classes.
     """
     budget = budget or DEFAULT_BUDGET
     if X.size > budget.max_set_size:

@@ -7,18 +7,19 @@ paths are never used to check themselves.  Former package code is kept
 here as the reference its replacement is checked against:
 element_divisor_terms is the former small-set divisor source, checked
 against the shared-divisor source; per_prime_moebius the former Möbius
-sieve, which looped over every prime up to its limit; and
-blocked_subset_counts the former subset pass, which took the gcd of
-every subset in blocks.  moebius, radical, primes_up_to and
-primorial_up_to, which the package itself never calls, serve the
-bridge identities.
+sieve, which looped over every prime up to its limit;
+blocked_subset_counts the first subset pass, which took the gcd of
+every subset in blocks; and table_fold_subset_counts the pass after it,
+which folded its high classes against a numpy gcd table of the low
+elements.  moebius, radical, primes_up_to and primorial_up_to, which
+the package itself never calls, serve the bridge identities.
 
 Every test starts with an empty subset-histogram cache, so a test that
 counts sieve or kernel calls sees the same calls in any order.
 """
 
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, groupby, product
 from math import gcd, prod
 
 import pytest
@@ -151,7 +152,7 @@ def subsets_recount(elements, n=None):
     """(total, by_cardinality) over nonempty subsets with gcd 1.
 
     n, when given, joins every gcd as an extra element.  Combination
-    based, so it shares nothing with the package oracle's gcd tables.
+    based, so it shares nothing with the package oracle's class walk.
     """
     by_k = [0] * (len(elements) + 1)
     for k in range(1, len(elements) + 1):
@@ -189,6 +190,41 @@ def blocked_subset_counts(elements, fold):
         for h, offset in zip(high_gcd.tolist(), high_size.tolist()):
             hist = np.bincount(low_size[np.gcd(low_gcd, h) == 1], minlength=width)
             counts[offset : offset + width] += hist
+    counts[0] = 0
+    return counts
+
+
+def table_fold_subset_counts(elements, fold):
+    """counts[c] = number of c-element subsets with gcd(subset, fold) == 1.
+
+    The former subset pass, which walked only its high part by class:
+    the subsets of all but the first _kernels._SUBSET_BLOCK_BITS
+    elements are counted by (gcd folded with fold, size), and each
+    distinct class gcd h is folded once against the whole gcd table of
+    those first elements, by a bincount of the sizes of the low parts
+    with gcd(low, h) == 1.
+    """
+    import numpy as np
+
+    bits = _kernels._SUBSET_BLOCK_BITS
+    values = [int(v) for v in elements]
+    dtype = np.int64 if max([fold, *values]) <= _kernels.INT64_MAX else object
+    low, high = values[:bits], values[bits:]
+    classes = {(fold, 0): 1}
+    for v in high:
+        grown = dict(classes)
+        for (g, size), count in classes.items():
+            key = (gcd(g, v), size + 1)
+            grown[key] = grown.get(key, 0) + count
+        classes = grown
+    low_gcd, low_size = gcd_table(low, dtype)
+    counts = [0] * (len(values) + 1)
+    for h, sizes in groupby(sorted(classes.items()), key=lambda item: item[0][0]):
+        coprime = low_size[np.gcd(low_gcd, h) == 1]
+        hist = np.bincount(coprime, minlength=len(low) + 1).tolist()
+        for (_, size), count in sizes:
+            for c, n in enumerate(hist):
+                counts[size + c] += n * count
     counts[0] = 0
     return counts
 

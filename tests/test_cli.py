@@ -281,6 +281,25 @@ def test_result_past_the_digit_limit_exits_4(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("L", "--n", "1000000", "--k", "1000000", "--m", "6"),
+        ("H", "--n", "1000000", "--k", "1000000"),
+        ("T", "--n", "2000000", "--k", "1000000", "--m", "6"),
+    ],
+    ids=("L", "H", "T"),
+)
+def test_costly_binomial_weights_exit_4_at_once(capsys, argv):
+    # about 2*10^7 bits passes the result bound, but one C(2*10^6, 10^6)
+    # would take over half a minute
+    start = perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.endswith("whose work passes the limit of 274877906944\n")
+
+
+@pytest.mark.parametrize(
     "argv, bits",
     [
         (("G", "--n", "10", "--k", "100000000000000000000"), 4 * 10**20),

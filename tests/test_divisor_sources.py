@@ -9,7 +9,9 @@ source that factors every element whole; the per-term walk from
 divisor_terms below wherever it is affordable; and the oracle wherever
 the set is small enough to enumerate.  The modulus source is checked
 against the definition of its terms, and the grouped sieve walk against
-the per-term sum it replaces.
+the per-term sum it replaces.  The source paper's reductions of Phi and
+Phi_k to f and f_k on A + {n} tie the sources to each other at sizes
+no oracle reaches.
 """
 
 import json
@@ -18,15 +20,17 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from math import gcd, isqrt
+from itertools import combinations, islice
+from math import gcd, isqrt, prod
 from operator import floordiv
 from time import perf_counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relprime import (
+    BudgetExceededError,
     Progression,
     OverlapError,
     brute_f,
@@ -60,7 +64,13 @@ from relprime.counting import (
 )
 from relprime.numtheory import squarefree_divisor_terms
 from relprime.setmodel import enumerate_elements, union_multiples
-from conftest import element_divisor_terms, moebius, primorial_up_to, random_union
+from conftest import (
+    element_divisor_terms,
+    moebius,
+    primes_up_to,
+    primorial_up_to,
+    random_union,
+)
 
 SMALL_PRIMORIAL = primorial_up_to(13)  # 30030
 BIG_PRIMORIAL = primorial_up_to(50)  # about 6.1 * 10^17
@@ -267,6 +277,57 @@ def test_cli_verifies_a_set_with_huge_elements(capsys):
     assert code == 0
     assert record["verified"] is True
     assert record["result"] == "3"
+
+
+def one_element_parts(values):
+    return " + ".join(f"{v}..{v}" for v in values)
+
+
+def refuse_building(monkeypatch):
+    monkeypatch.setattr(counting, "squarefree_products", lambda *args: pytest.fail("built"))
+
+
+def test_shared_divisors_past_the_limit_are_refused_before_building(monkeypatch, capsys):
+    # x_i = P / p_i over the 22 primes up to 79: each g_x is x_i itself,
+    # with 21 primes, so the terms would number 22 * 2^21
+    primes = primes_up_to(79)
+    P = prod(primes)
+    spec = one_element_parts(P // p for p in primes)
+    X = parse_set_spec(spec)
+    refuse_building(monkeypatch)
+    refusal = "22 elements, each built once and counted over 22 parts, pass the limit of 2097152"
+    for count in (lambda: f(X), lambda: f_k(X, 3), lambda: phi(X, P), lambda: phi_k(X, P, 2)):
+        with pytest.raises(BudgetExceededError, match=refusal):
+            count()
+    start = perf_counter()
+    assert cli.main(["count", "f", "--set", spec]) == 4
+    assert perf_counter() - start < 1.0
+    assert refusal in capsys.readouterr().err
+
+
+def test_few_shared_divisors_over_many_parts_are_refused(monkeypatch, capsys):
+    # 200 products of 12 of the first 30 primes, as one-element parts:
+    # 200 * 2^12 terms, each counted over 200 parts, a walk of minutes
+    values = [prod(c) for c in islice(combinations(primes_up_to(113), 12), 200)]
+    spec = one_element_parts(values)
+    refuse_building(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="the 819200 divisors shared"):
+        f(parse_set_spec(spec))
+    start = perf_counter()
+    assert cli.main(["count", "f", "--set", spec]) == 4
+    assert perf_counter() - start < 1.0
+    assert "counted over 200 parts" in capsys.readouterr().err
+
+
+def test_shared_divisor_limit_counts_every_g_x_and_part(monkeypatch):
+    # 6 elements x_i = 30030 / p_i, each with 5 primes: 6 * 2^5 terms,
+    # each built once and counted over 6 parts
+    X = parse_set_spec(one_element_parts(30030 // p for p in (2, 3, 5, 7, 11, 13)))
+    monkeypatch.setattr(counting, "_MAX_SHARED_WORK", 6 * 2**5 * 7)
+    assert f(X) == brute_f(X)
+    monkeypatch.setattr(counting, "_MAX_SHARED_WORK", 6 * 2**5 * 7 - 1)
+    with pytest.raises(BudgetExceededError):
+        f(X)
 
 
 def squarefree_terms_by_definition(n, bound):
@@ -514,3 +575,71 @@ def test_tuple_sum_is_the_subset_sum_over_one_to_n(modulus, n, weight, k):
     weight = TUPLE_WEIGHTS[weight](k)
     one_to_n = validate_union([interval(1, n)])
     assert tuple_sum(n, modulus, weight) == subset_sum(one_to_n, modulus, weight)
+
+
+AP_UNION_PARTS = st.lists(
+    st.tuples(st.integers(1, 3000), st.integers(1, 40), st.integers(1, 40)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def spy_on_divisor_sources(monkeypatch):
+    """Count the calls that reach each divisor source: the sieve stream,
+    the modulus stream and the shared-divisor source."""
+    reached = Counter()
+
+    def spy(name, source):
+        def call(*args):
+            reached[name] += 1
+            return source(*args)
+        return call
+
+    for name, attr in (("sieve", "sieve_histogram"),
+                       ("modulus", "squarefree_divisor_terms"),
+                       ("shared", "shared_divisor_terms")):
+        monkeypatch.setattr(counting, attr, spy(name, getattr(counting, attr)))
+    return reached
+
+
+def union_and_one_more(parts, n):
+    """(A, A + n..n) for the AP union A of the parts, or None when the
+    parts overlap or n is already in A."""
+    try:
+        A = validate_union([Progression(*part) for part in parts])
+        return A, parse_set_spec(f"{A} + {n}..{n}")
+    except OverlapError:
+        return None
+
+
+def test_phi_is_the_f_of_a_union_with_n_minus_f(monkeypatch):
+    # a subset of A + {n} that holds n is {n} + B, relatively prime
+    # exactly when gcd(B, n) = 1, so Phi(A, n) = f(A + {n}) - f(A)
+    reached = spy_on_divisor_sources(monkeypatch)
+
+    @settings(max_examples=150)
+    @given(parts=AP_UNION_PARTS, n=st.integers(2, 5000))
+    def reduction(parts, n):
+        sets = union_and_one_more(parts, n)
+        assume(sets is not None)
+        A, with_n = sets
+        assert phi(A, n) == f(with_n) - f(A)
+
+    reduction()
+    assert set(reached) == {"sieve", "modulus", "shared"}
+
+
+def test_phi_k_is_the_f_k_of_a_union_with_n_minus_f_k(monkeypatch):
+    # the same split by size: B has k elements when {n} + B has k + 1
+    reached = spy_on_divisor_sources(monkeypatch)
+
+    @settings(max_examples=150)
+    @given(parts=AP_UNION_PARTS, n=st.integers(2, 5000), k=st.integers(1, 6))
+    def reduction(parts, n, k):
+        sets = union_and_one_more(parts, n)
+        assume(sets is not None)
+        A, with_n = sets
+        assert phi_k(A, n, k) == f_k(with_n, k + 1) - f_k(A, k + 1)
+
+    reduction()
+    assert set(reached) == {"sieve", "modulus", "shared"}

@@ -8,7 +8,7 @@ from math import gcd, isqrt
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relprime import (
@@ -41,6 +41,7 @@ from conftest import (
     primorial_up_to,
     random_union,
     subsets_recount,
+    table_fold_subset_counts,
     tuple_walk,
     tuples_recount,
 )
@@ -253,20 +254,27 @@ def test_subset_kernel_matches_recount_in_small_blocks(small_blocks):
 @settings(max_examples=150)
 @given(
     picks=st.lists(
-        st.tuples(st.integers(1, 40), st.sampled_from([1, 6, 2**63, 2**64 + 1])),
-        max_size=10,
+        st.tuples(st.integers(1, 60), st.sampled_from([1, 6, 2**63, 2**64 + 1])),
+        max_size=15,
     ),
     fold=st.sampled_from(FOLDS + [2**64 + 1]),
-    bits=st.integers(min_value=1, max_value=4),
+    bits=st.sampled_from([0, 1, 2, 3, 4, 12]),
 )
+@example(picks=[(v, 1) for v in range(2, 17)], fold=0, bits=12)
+@example(picks=[(v, 2**64 + 1) for v in range(1, 16)], fold=30030, bits=12)
 def test_class_walk_matches_the_blocked_pass(picks, fold, bits):
-    # the former pass, which took the gcd of every subset, and an
+    # the two former passes, one that took the gcd of every subset and one
+    # that folded its high classes against a low gcd table, and an
     # itertools recount; products with 2^63 and 2^64 + 1 put elements
-    # past int64 in the low table, in the classes, or in both
+    # past int64 on either side of the split or on both.  bits 0 leaves
+    # the low side empty, where the blocked pass needs blocks of 2^1
     elements = list(dict.fromkeys(a * b for a, b in picks))
     _, by_k = subsets_recount(elements, fold or None)
     with patch.object(_kernels, "_SUBSET_BLOCK_BITS", bits):
-        assert _kernels.subset_gcd_counts(elements, fold) == by_k
+        counts = _kernels.subset_gcd_counts(elements, fold)
+        assert counts == table_fold_subset_counts(elements, fold) == by_k
+    assert all(type(c) is int for c in counts)
+    with patch.object(_kernels, "_SUBSET_BLOCK_BITS", max(bits, 1)):
         assert blocked_subset_counts(elements, fold).tolist() == by_k
 
 

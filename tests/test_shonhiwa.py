@@ -12,6 +12,7 @@ from relprime import (
     BudgetExceededError,
     DomainError,
     brute_tuples,
+    cli,
     g_count,
     h_count,
     interval,
@@ -61,9 +62,13 @@ def test_t_count_examples():
     assert t_count(4, 2, 6) == phi_k(validate_union([interval(1, 4)]), 6, 2)
 
 
-def test_t_count_k_beyond_n():
+def test_t_count_k_beyond_n(capsys):
     assert t_count(3, 5, 6) == 0
     assert t_count(2, 9, 1) == 0
+    # far beyond n the binomial-work bound must not see a negative side
+    assert t_count(3, 600000, 6) == 0
+    assert cli.main(["count", "T", "--n", "3", "--k", "600000", "--m", "6", "--tsv"]) == 0
+    assert capsys.readouterr().out.split()[-1] == "0"
 
 
 def test_domain_errors():
@@ -98,6 +103,34 @@ def test_wide_results_are_refused_before_any_weight(monkeypatch):
             call()
     with pytest.raises(AssertionError, match="a weight was computed"):
         g_count(2, limit // 2)  # at the limit, so the weights are taken
+
+
+def test_costly_binomial_weights_are_refused_before_any_weight(monkeypatch):
+    # each passes the result bound, and would take C(about 2*10^6, 10^6)
+    monkeypatch.setattr(shonhiwa, "binomial", lambda *args: pytest.fail("a weight was computed"))
+    for call in (
+        lambda: l_count(10**6, 10**6, 6),
+        lambda: h_count(10**6, 10**6),
+        lambda: t_count(2 * 10**6, 10**6, 6),
+    ):
+        with pytest.raises(BudgetExceededError,
+                           match="whose work passes the limit of 274877906944$"):
+            call()
+
+
+def test_binomial_work_is_the_bits_times_the_smaller_side(monkeypatch):
+    # C(10, 4) has at most 4 * bitlen(10) = 16 bits, times 4
+    monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", 64)
+    assert t_count(10, 4, 6) == brute_tuples(10, 4, 6, "strict")
+    assert l_count(7, 4, 6) == brute_tuples(7, 4, 6, "nondecreasing")
+    monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", 63)
+    for call in (lambda: t_count(10, 4, 6), lambda: l_count(7, 4, 6), lambda: h_count(7, 4)):
+        with pytest.raises(BudgetExceededError, match="binomial weights of 16 bits"):
+            call()
+    # ordered tuples weigh powers, not binomials
+    monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", 0)
+    assert s_count(10, 4, 6) == brute_tuples(10, 4, 6)
+    assert g_count(10, 4) == brute_tuples(10, 4)
 
 
 def test_matches_brute_tuples_small_grid():

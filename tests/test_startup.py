@@ -1,9 +1,9 @@
 """Importing the package, and every array-free path, loads no numpy.
 
 numpy is imported inside the array kernels, so only the sieve walk, the
-prime lists and the oracle pay for it, on first use.  Each check runs
-in a fresh interpreter, since this test process has loaded numpy long
-before.
+prime lists and the tuple oracle pay for it, on first use; the subset
+oracle's class walk is plain Python.  Each check runs in a fresh
+interpreter, since this test process has loaded numpy long before.
 """
 
 import subprocess
@@ -25,6 +25,9 @@ assert "numpy" not in sys.modules, "import"
 relprime.phi(relprime.parse_set_spec("1..5000"), 30030)
 relprime.f(relprime.parse_set_spec("1000000000000..1000000000002"))
 relprime.t_count(50, 3, 30030)
+X = relprime.parse_set_spec("1000000000000..1000000000021")
+relprime.brute_f(X)
+relprime.brute_phi(X, 30030)
 assert "numpy" not in sys.modules, "array-free paths"
 value = relprime.f(relprime.parse_set_spec("1..2000"))
 assert "numpy" in sys.modules, "sieve walk"
@@ -39,3 +42,4 @@ def test_numpy_loads_only_when_an_array_kernel_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == f(parse_set_spec("1..2000"))
+
