@@ -16,12 +16,12 @@ strings so arbitrarily large values survive 64-bit JSON parsers.
 
 Exit codes: 0 success, 2 usage or parse error, 3 overlapping union,
 4 oracle budget exceeded, a tuple count whose result could pass 2^28
-bits, out of memory or a size too large to represent, 5 failed
-sequence check, 6 verify mismatch, 130 interrupted,
-141 stdout closed early (a broken pipe; nothing is printed).  Error
-messages show a run of more than 80 characters without whitespace or
-quotes (a huge integer, set term or flag value) by its first 40 and its
-length; library exceptions keep their full text.
+bits or whose weights could pass their limits, out of memory or a size
+too large to represent, 5 failed sequence check, 6 verify mismatch,
+130 interrupted, 141 stdout closed early (a broken pipe; nothing is
+printed).  Error messages show a run of more than 80 characters without
+whitespace or quotes (a huge integer, set term or flag value) by its
+first 40 and its length; library exceptions keep their full text.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from math import isqrt
 
 from . import counting, oracle, shonhiwa
 from .errors import BudgetExceededError, DomainError, OverlapError, SetSpecError
-from .oracle import OracleBudget
+from .oracle import DEFAULT_BUDGET, OracleBudget
 from .setmodel import interval, parse_set_spec, validate_union
 
 EXIT_OK = 0
@@ -322,13 +322,13 @@ def _config_int(text, where) -> int:
 
 def _resolve_budget(args, settings) -> OracleBudget:
     # precedence: flag, then environment, then config, then default
-    subsets = settings.get("budget_subsets", OracleBudget.max_set_size)
+    subsets = settings.get("budget_subsets", DEFAULT_BUDGET.max_set_size)
     env = os.environ.get(ENV_BUDGET_SUBSETS)
     if env is not None:
         subsets = _config_int(env, ENV_BUDGET_SUBSETS)
     if args.budget_subsets is not None:
         subsets = args.budget_subsets
-    tuples = settings.get("budget_tuples", OracleBudget.max_tuple_space)
+    tuples = settings.get("budget_tuples", DEFAULT_BUDGET.max_tuple_space)
     if args.budget_tuples is not None:
         tuples = args.budget_tuples
     return OracleBudget(max_set_size=subsets, max_tuple_space=tuples)

@@ -9,14 +9,13 @@ walk counts the subsets of the first 12 elements and of the rest by
 and the tuple walk counts prefixes by (gcd so far, last value) class,
 one step per class and next value.  Budgets bound the work, stopping
 runaway recounts before they start, and the subset walk refuses to
-outgrow its memory.
+outgrow its memory.  An OracleBudget is one of setmodel's immutable
+records.
 """
-
-from dataclasses import dataclass
 
 from . import _kernels
 from .errors import BudgetExceededError, DomainError, check_positive
-from .setmodel import ProgressionUnion, enumerate_elements
+from .setmodel import ProgressionUnion, _Record, enumerate_elements
 
 _ORDERINGS = {
     "ordered": _kernels.ORDERED,
@@ -25,12 +24,13 @@ _ORDERINGS = {
 }
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(_Record):
     """Hard ceilings on enumeration size, checked before any work starts."""
 
-    max_set_size: int = 22
-    max_tuple_space: int = 10_000_000
+    __slots__ = ("max_set_size", "max_tuple_space")
+
+    def __init__(self, max_set_size: int = 22, max_tuple_space: int = 10_000_000):
+        super().__init__(max_set_size, max_tuple_space)
 
 
 DEFAULT_BUDGET = OracleBudget()

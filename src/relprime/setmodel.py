@@ -4,10 +4,14 @@ The counting formulas ask exactly one question of the set X: how many of
 its elements does d divide.  This module answers that in O(1) per
 progression via a residue-window formula and keeps X itself as a
 validated union of pairwise disjoint arithmetic progressions.
+
+Progression, ProgressionUnion and oracle.OracleBudget are immutable
+records: slotted subclasses of _Record, which compares, hashes, prints
+and pickles them by their fields, in the manner of a frozen dataclass,
+without importing dataclasses and the inspect machinery it pulls in.
 """
 
 import re
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
@@ -19,21 +23,57 @@ _INTERVAL_RE = re.compile(r"(\d+)\.\.(\d+)")
 _AP_RE = re.compile(r"ap\((\d+),(\d+),(\d+)\)")
 
 
-@dataclass(frozen=True)
-class Progression:
+class _Record:
+    """An immutable record whose fields are its subclass's __slots__.
+
+    A subclass's __init__ passes every field's value, in slot order, to
+    _Record.__init__, which also keeps them as one tuple, the key that
+    records compare, hash and pickle by: records are equal when their
+    types and keys are, and pickling calls the class on the key again.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, *values):
+        object.__setattr__(self, "_key", values)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class Progression(_Record):
     """The set {first, first+step, ..., first+(length-1)*step}."""
 
-    first: int
-    step: int
-    length: int
+    __slots__ = ("first", "step", "length")
 
-    def __post_init__(self):
-        if self.first < 1:
-            raise DomainError(f"first term must be positive, got {self.first}")
-        if self.step < 1:
-            raise DomainError(f"step must be positive, got {self.step}")
-        if self.length < 1:
-            raise DomainError(f"length must be positive, got {self.length}")
+    def __init__(self, first: int, step: int, length: int):
+        if first < 1:
+            raise DomainError(f"first term must be positive, got {first}")
+        if step < 1:
+            raise DomainError(f"step must be positive, got {step}")
+        if length < 1:
+            raise DomainError(f"length must be positive, got {length}")
+        super().__init__(first, step, length)
 
     @property
     def max_element(self) -> int:
@@ -48,15 +88,17 @@ class Progression:
         return f"ap({self.first},{self.step},{self.length})"
 
 
-@dataclass(frozen=True)
-class ProgressionUnion:
+class ProgressionUnion(_Record):
     """Disjoint progressions sorted by first element.
 
     Build through validate_union (or parse_set_spec); the constructor
     itself does not re-check disjointness.
     """
 
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        super().__init__(parts)
 
     @property
     def size(self) -> int:

@@ -9,8 +9,8 @@ by any multiple of all primes up to n.
 
 Each counter first bounds its result's bits from bit lengths alone and
 refuses, before any weight is taken, a result that could pass
-_MAX_RESULT_BITS bits, or a binomial weight whose work could pass
-_MAX_BINOMIAL_WORK.
+_MAX_RESULT_BITS bits, a power weight that could pass _MAX_POWER_BITS
+bits, or a binomial weight whose work could pass _MAX_BINOMIAL_WORK.
 """
 
 from .counting import binomial, tuple_sum
@@ -25,6 +25,12 @@ _MAX_RESULT_BITS = 1 << 28
 # C(2^64, 65000) and 0.55 s for C(2*10^5, 10^5) on a 2-core host, while
 # every query in the tests and the benchmark stays under 300
 _MAX_BINOMIAL_WORK = 1 << 38
+# the twin bound for the ordered counters' q^k weights, whose work grows
+# with their bits alone, about 3x per doubling: one 1000003^k took 0.04,
+# 0.34 and 1.0 s for results of 2^20, 2^22 and 2^23 bits on a 2-core
+# host, while the benchmark's powers stay under 2^7 bits and the tests'
+# under 2^16
+_MAX_POWER_BITS = 1 << 22
 
 
 def _check_result_bits(ordering, n, k):
@@ -32,8 +38,9 @@ def _check_result_bits(ordering, n, k):
     _MAX_RESULT_BITS bits, bounded from bit lengths alone: n^k ordered,
     C(n+k-1, k) <= (n+k-1)^min(k, n-1) nondecreasing and
     C(n, k) <= n^max(0, min(k, n-k)) strict, zero when k > n.  The
-    bound on a binomial, the largest weight, times its smaller side
-    bounds that weight's work, refused past _MAX_BINOMIAL_WORK."""
+    same bound holds for the largest weight: a power n^k, refused past
+    _MAX_POWER_BITS, or a binomial, whose bits times its smaller side
+    bound its work, refused past _MAX_BINOMIAL_WORK."""
     base, exponent = {
         "ordered": (n, k),
         "nondecreasing": (n + k - 1, min(k, n - 1)),
@@ -45,7 +52,13 @@ def _check_result_bits(ordering, n, k):
             f"counting {k}-tuples over [1, {n}] may give a result of {bits} bits, "
             f"past the limit of {_MAX_RESULT_BITS}"
         )
-    if ordering != "ordered" and bits * exponent > _MAX_BINOMIAL_WORK:
+    if ordering == "ordered":
+        if bits > _MAX_POWER_BITS:
+            raise BudgetExceededError(
+                f"counting {k}-tuples over [1, {n}] may take power weights of "
+                f"{bits} bits, past the limit of {_MAX_POWER_BITS}"
+            )
+    elif bits * exponent > _MAX_BINOMIAL_WORK:
         raise BudgetExceededError(
             f"counting {k}-tuples over [1, {n}] may take binomial weights of "
             f"{bits} bits, whose work passes the limit of {_MAX_BINOMIAL_WORK}"

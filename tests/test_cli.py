@@ -300,6 +300,25 @@ def test_costly_binomial_weights_exit_4_at_once(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("S", "--n", "1048576", "--k", "8000000", "--m", "6"),
+        ("G", "--n", "1048576", "--k", "8000000"),
+    ],
+    ids=("S", "G"),
+)
+def test_costly_power_weights_exit_4_at_once(capsys, argv):
+    # 21 * 8*10^6 bits is under the 2^28-bit result bound, but one
+    # 349525^8000000 would take minutes
+    start = perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == ("relprime: counting 8000000-tuples over [1, 1048576] may take power "
+                   "weights of 168000000 bits, past the limit of 4194304\n")
+
+
+@pytest.mark.parametrize(
     "argv, bits",
     [
         (("G", "--n", "10", "--k", "100000000000000000000"), 4 * 10**20),

@@ -1,5 +1,7 @@
 """Progressions, unions, the divisibility kernel, and the set grammar."""
 
+import copy
+import pickle
 import random
 from math import gcd
 
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 from relprime import (
     BudgetExceededError,
     DomainError,
+    OracleBudget,
     OverlapError,
     Progression,
+    ProgressionUnion,
     SetSpecError,
     count_ap_multiples,
     enumerate_elements,
@@ -201,6 +205,43 @@ def test_parse_set_spec_errors():
         parse_set_spec("5..3")
     with pytest.raises(OverlapError):
         parse_set_spec("1..5 + 3..4")
+
+
+def test_records_are_immutable_values():
+    # Progression, ProgressionUnion and OracleBudget compare, hash, print
+    # and copy by their fields alone; a union is subset_histogram's cache
+    # key, so a reparsed set must find the same entry
+    X = parse_set_spec("ap(7,3,5) + 1..4")
+    Y = parse_set_spec("1..4 + ap( 7,3,5 )")
+    assert X == Y and hash(X) == hash(Y) and X is not Y
+    assert X != parse_set_spec("1..4 + ap(7,3,6)")
+    assert Progression(1, 1, 4) != (1, 1, 4)
+    assert X != (X.parts,)
+    assert OracleBudget() != (22, 10_000_000)
+    assert repr(Progression(2, 4, 3)) == "Progression(first=2, step=4, length=3)"
+    assert repr(X) == (
+        "ProgressionUnion(parts=(Progression(first=1, step=1, length=4), "
+        "Progression(first=7, step=3, length=5)))"
+    )
+    assert str(X) == "1..4 + ap(7,3,5)"
+    assert repr(OracleBudget()) == "OracleBudget(max_set_size=22, max_tuple_space=10000000)"
+    assert str(OracleBudget(26)) == "OracleBudget(max_set_size=26, max_tuple_space=10000000)"
+    for record, field in ((X.parts[0], "step"), (X, "parts"), (OracleBudget(), "max_set_size")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+        assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(X)).size == 9
+    assert OracleBudget(26).max_set_size == 26
+    assert OracleBudget(26).max_tuple_space == 10_000_000
+    assert OracleBudget(max_tuple_space=5).max_tuple_space == 5
+    assert OracleBudget(max_tuple_space=5).max_set_size == 22
+    assert OracleBudget() == OracleBudget(22, 10_000_000)
+    assert hash(OracleBudget()) == hash(OracleBudget(22, 10_000_000))
+    assert ProgressionUnion(parts=X.parts) == X
 
 
 def subsets_by_gcd(elements):

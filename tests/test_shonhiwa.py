@@ -91,6 +91,8 @@ def test_wide_results_are_refused_before_any_weight(monkeypatch):
 
     monkeypatch.setattr(shonhiwa, "tuple_sum", no_weights)
     limit = shonhiwa._MAX_RESULT_BITS
+    # the power bound, far lower, is tested on its own below
+    monkeypatch.setattr(shonhiwa, "_MAX_POWER_BITS", limit)
     for call in (
         lambda: g_count(10, 10**20),
         lambda: s_count(10, 10**8, 6),
@@ -103,6 +105,26 @@ def test_wide_results_are_refused_before_any_weight(monkeypatch):
             call()
     with pytest.raises(AssertionError, match="a weight was computed"):
         g_count(2, limit // 2)  # at the limit, so the weights are taken
+
+
+def test_costly_power_weights_are_refused_before_any_weight(monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("a weight was computed")
+
+    monkeypatch.setattr(shonhiwa, "tuple_sum", no_weights)
+    limit = shonhiwa._MAX_POWER_BITS
+    # each is under the 2^28-bit result bound; the first two, of
+    # 21 * 8*10^6 bits, would take minutes for one 349525^8000000
+    for call in (
+        lambda: s_count(2**20, 8 * 10**6, 6),
+        lambda: g_count(2**20, 8 * 10**6),
+        lambda: g_count(2, limit // 2 + 1),  # one position past the limit
+    ):
+        with pytest.raises(BudgetExceededError,
+                           match="power weights of .* past the limit of 4194304$"):
+            call()
+    with pytest.raises(AssertionError, match="a weight was computed"):
+        s_count(2, limit // 2, 6)  # at the limit, so the weights are taken
 
 
 def test_costly_binomial_weights_are_refused_before_any_weight(monkeypatch):

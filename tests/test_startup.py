@@ -1,5 +1,8 @@
 """Importing the package, and every array-free path, loads no numpy.
 
+Nor does the import load dataclasses or the inspect machinery it pulls
+in: the package's three records are plain slotted classes.
+
 numpy is imported inside the array kernels, so only the sieve walk, the
 prime lists and the tuple oracle pay for it, on first use; the subset
 oracle's class walk is plain Python.  Each check runs in a fresh
@@ -22,6 +25,8 @@ from pathlib import Path
 assert Path(sys.argv[1]) in Path(relprime.__file__).resolve().parents
 assert "relprime._kernels" in sys.modules
 assert "numpy" not in sys.modules, "import"
+assert "dataclasses" not in sys.modules, "import"
+assert "inspect" not in sys.modules, "import"
 relprime.phi(relprime.parse_set_spec("1..5000"), 30030)
 relprime.f(relprime.parse_set_spec("1000000000000..1000000000002"))
 relprime.t_count(50, 3, 30030)
