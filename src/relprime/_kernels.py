@@ -1,11 +1,13 @@
-"""Hot loops: the prime and Möbius sieves, the subset class walk and
-the tuple walk.
+"""Hot loops: the Möbius sieve, the subset class walk and the tuple
+walk.
 
-Each has one implementation.  The sieves are vectorized numpy.  The
-prime sieve crosses off multiples of the primes up to the square root
-of its limit.  The Möbius sieve loops over the same primes to mark mu,
-then gives each n its one prime factor above the square root, if it
-has one, with one fancy-indexed sign flip per cofactor m.  Both oracle
+Each has one implementation.  The sieve is vectorized numpy.  One loop
+over the primes up to the square root of its limit crosses off their
+multiples and marks mu in the same pass; the entries it leaves
+uncrossed above the square root are the large primes, and each n gets
+its one prime factor above the square root, if it has one, with one
+fancy-indexed sign flip per cofactor m.  A sieve past MAX_SIEVE_LIMIT
+is refused before anything is allocated.  Both oracle
 kernels count by class in a dict.  The subset walk splits every subset
 into a low part, from the first 12 elements, and a high part, counts
 each side by (gcd, size) class, one step per class and element, and
@@ -26,11 +28,11 @@ integers its definition does.
 The formula paths touch these arrays only through the Möbius table:
 numtheory caches the int8 array moebius_values returns, made
 read-only, and each walk over it converts the nonzero entries it reads
-to Python ints.
+to Python ints, one chunk at a time.
 
 numpy is imported inside each function that builds arrays, never at
 module level, so importing the package loads no numpy: it is loaded on
-first use, by the sieves and the tuple walk only.  The constants below
+first use, by the sieve and the tuple walk only.  The constants below
 are plain Python and need none.
 """
 
@@ -54,53 +56,47 @@ _TUPLE_BLOCK = 1 << 16
 # budget of 22 elements allows at most 2^10 high classes
 _SUBSET_CLASSES = 1 << 17
 INT64_MAX = 2**63 - 1
+# the largest Möbius sieve, refused past it before any allocation.  The
+# sieve peaks at about 3 bytes per entry while it is built and keeps 1,
+# so G(2^24, 2) peaked 50 MB above a cold process, in 2.4 s on a 2-core
+# host; this admits the 10^7 the docs use and every limit the tests and
+# the benchmark reach, at most 3 * 10^6 and 2 * 10^5
+MAX_SIEVE_LIMIT = 1 << 24
 
 
 def _check_sieve_limit(limit: int):
-    # a sieve holds limit + 1 entries, and numpy refuses a dimension that
-    # size with a bare ValueError; refuse it first, before any allocation
-    if limit >= sys.maxsize:
-        raise OverflowError(
-            f"sieve limit {limit} is too large for an array (at most {sys.maxsize - 1})"
-        )
-
-
-def primes(limit: int):
-    """The primes p <= limit, ascending."""
-    _check_sieve_limit(limit)
-    import numpy as np
-
-    if limit < 2:
-        return np.zeros(0, dtype=np.intp)
-    composite = np.zeros(limit + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite)
+    # refuse a sieve past MAX_SIEVE_LIMIT before any allocation; past what
+    # an array can index, where numpy would raise a bare ValueError, the
+    # refusal is an OverflowError
+    if limit > MAX_SIEVE_LIMIT:
+        kind = OverflowError if limit >= sys.maxsize else BudgetExceededError
+        raise kind(f"a Möbius sieve to {limit} passes the limit of {MAX_SIEVE_LIMIT}")
 
 
 def moebius_values(limit: int):
     """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero.
 
-    Only the primes p <= isqrt(limit) are looped over: each flips the
-    sign of its multiples and zeroes those of p^2.  Every n <= limit has
-    at most one prime factor q above isqrt(limit), and n = m * q with
-    m <= limit // (isqrt(limit) + 1), so one fancy-indexed flip per m,
-    over the large primes q <= limit // m, gives q its sign.
+    One loop over the primes p <= isqrt(limit) crosses off p's multiples
+    from p^2 on, flips the sign of every multiple of p and zeroes those
+    of p^2.  The entries above isqrt(limit) left uncrossed are the large
+    primes q.  Every n <= limit has at most one prime factor above
+    isqrt(limit), and n = m * q with m <= limit // (isqrt(limit) + 1), so
+    one fancy-indexed flip per m, over the q <= limit // m, gives q its
+    sign.
     """
     _check_sieve_limit(limit)
     import numpy as np
 
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
+    uncrossed = np.ones(limit + 1, dtype=bool)
     root = isqrt(limit)
-    every = primes(limit)
-    split = int(np.searchsorted(every, root, side="right"))
-    for p in every[:split].tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    large = every[split:]
+    for p in range(2, root + 1):
+        if uncrossed[p]:
+            uncrossed[p * p :: p] = False
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+    large = root + 1 + np.flatnonzero(uncrossed[root + 1 :])
     for m in range(1, limit // (root + 1) + 1):
         q = large[: int(np.searchsorted(large, limit // m, side="right"))]
         mu[m * q] *= -1

@@ -5,14 +5,16 @@ squarefree d, where the kernel is |X_d| (union_multiples) for the subset
 counters here and floor(n/d) for the tuple counters in shonhiwa.
 divisor_sum walks two of its three divisor sources: with no modulus,
 every squarefree d up to the bound, read off the cached int8 Möbius
-sieve as Python ints, and summed into a weight-free histogram, the sum
-of mu per kernel value, which weigh then weighs once per value, because
-that walk meets each value many times; with a modulus, its squarefree
-divisors, found from its own primes and weighed term by term.  Small
-sets take the third source, the divisors two elements share
-(shared_divisor_sum), which refuses a set whose shared divisors would
-pass _MAX_SHARED_WORK before building any.  mobius_sum keeps positive
-and negative contributions in two totals, for speed.
+sieve as Python ints one chunk of _SIEVE_CHUNK entries at a time, so
+the walk never holds the whole stream, and summed into a weight-free
+histogram, the sum of mu per kernel value, which weigh then weighs once
+per value, because that walk meets each value many times; with a
+modulus, its squarefree divisors, found from its own primes and
+weighed term by term.  Small sets take the third source, the divisors
+two elements share (shared_divisor_sum), which refuses a set whose
+shared divisors would pass _MAX_SHARED_WORK before building any.
+mobius_sum keeps positive and negative contributions in two totals,
+for speed.
 
 The histogram of a dense ground set does not depend on the weight, so
 f and f_k for every k share it: subset_histogram caches it per set, the
@@ -39,6 +41,10 @@ from .setmodel import ProgressionUnion, interval, union_multiples, validate_unio
 # 2.9 s and 104 MB there, and the tests and the benchmark need at most
 # 1405
 _MAX_SHARED_WORK = 1 << 21
+# sieve_histogram converts the sieve to Python ints this many entries at
+# a time, about 9 MB of them per chunk; every sieve the benchmark takes,
+# to at most 2 * 10^5, is one chunk
+_SIEVE_CHUNK = 1 << 18
 
 
 def binomial(n: int, k: int) -> int:
@@ -115,11 +121,20 @@ def sieve_histogram(bound: int, kernel) -> tuple:
     """The histogram of kernel(d) over every squarefree d <= bound.
 
     The nonzero entries of the sieve to the bound are converted to
-    Python ints, so no numpy scalar enters the kernel or the sums.
+    Python ints _SIEVE_CHUNK entries at a time, so no numpy scalar
+    enters the kernel or the sums, and the walk holds the one-byte-per-
+    entry sieve plus one chunk of Python ints, never the whole stream.
     """
-    mu = moebius_sieve(bound)
-    d = mu.nonzero()[0]
-    return histogram(zip(d.tolist(), mu[d].tolist()), kernel)
+    return histogram(chain.from_iterable(_nonzero_chunks(moebius_sieve(bound))), kernel)
+
+
+def _nonzero_chunks(mu):
+    # one zip of (d, mu[d]) as Python ints over the nonzero mu[d] per
+    # _SIEVE_CHUNK entries of mu
+    for start in range(0, len(mu), _SIEVE_CHUNK):
+        d = mu[start : start + _SIEVE_CHUNK].nonzero()[0]
+        d += start
+        yield zip(d.tolist(), mu[d].tolist())
 
 
 def divisor_sum(modulus, bound: int, kernel, weight) -> int:

@@ -1,15 +1,16 @@
 """Möbius sieve, squarefree divisor terms, and factoring.
 
 Everything works on plain Python integers so results stay exact at any
-size.  The prime and Möbius sieves are the only array-backed pieces,
-and the only functions here that load numpy: both run the one numpy
-prime sieve in _kernels, and the Möbius sieve loops in Python only
-over its primes up to the square root of the limit.  The Möbius table
-is cached as that int8 array, the last 8 limits, read-only because
-every caller shares it; each walk converts the nonzero entries it
-reads to Python ints, so fixed-width scalars never leak into
-big-integer sums.  counting caches a weight-free histogram per dense
-ground set on top of it, so a repeated count on one set skips both.
+size.  The Möbius sieve is the only array-backed piece, and the only
+function here that loads numpy: it runs the one numpy sieve in
+_kernels, which loops in Python only over the primes up to the square
+root of the limit and refuses a limit past _kernels.MAX_SIEVE_LIMIT.
+The Möbius table is cached as that int8 array, the last 8 limits,
+read-only because every caller shares it; each walk converts the
+nonzero entries it reads to Python ints, a chunk at a time, so
+fixed-width scalars never leak into big-integer sums.  counting caches
+a weight-free histogram per dense ground set on top of it, so a
+repeated count on one set skips both.
 Factoring has one trial-division loop, _prime_factors, which finds
 each prime and its exponent in one pass; factorize and the squarefree
 divisor walk both read it.  It stays pure Python: past 2^16 it stops

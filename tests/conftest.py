@@ -6,8 +6,11 @@ literature.  None of them call the package's fast paths, so the fast
 paths are never used to check themselves.  Former package code is kept
 here as the reference its replacement is checked against:
 element_divisor_terms is the former small-set divisor source, checked
-against the shared-divisor source; per_prime_moebius the former Möbius
-sieve, which looped over every prime up to its limit;
+against the shared-divisor source; per_prime_moebius the first Möbius
+sieve, which looped over every prime up to its limit; sieve_primes and
+two_pass_moebius the one after it, which sieved the primes first and
+then marked mu from them; whole_array_histogram the sieve stream that
+converted the whole sieve to Python ints at once;
 blocked_subset_counts the first subset pass, which took the gcd of
 every subset in blocks; and table_fold_subset_counts the pass after it,
 which folded its high classes against a numpy gcd table of the low
@@ -20,7 +23,7 @@ counts sieve or kernel calls sees the same calls in any order.
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, groupby, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -31,7 +34,7 @@ from relprime import (
     validate_union,
 )
 from relprime import _kernels
-from relprime.counting import subset_histogram
+from relprime.counting import histogram, subset_histogram
 from relprime.errors import check_positive
 from relprime.numtheory import factorize, squarefree_divisor_terms
 
@@ -49,9 +52,23 @@ def cold_subset_histograms():
     subset_histogram.cache_clear()
 
 
+def sieve_primes(limit: int):
+    """The primes p <= limit, ascending, as a numpy array."""
+    import numpy as np
+
+    if limit < 2:
+        return np.zeros(0, dtype=np.intp)
+    composite = np.zeros(limit + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite)
+
+
 def primes_up_to(x: int) -> list:
     """All primes p <= x."""
-    return _kernels.primes(x).tolist()
+    return sieve_primes(x).tolist()
 
 
 def primorial_up_to(x: int) -> int:
@@ -87,6 +104,35 @@ def per_prime_moebius(limit: int):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     return mu
+
+
+def two_pass_moebius(limit: int):
+    """mu[0..limit] as an int8 array: a prime sieve first, then a pass
+    over its primes up to isqrt(limit) and a flip per cofactor m over
+    the primes above it."""
+    import numpy as np
+
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    root = isqrt(limit)
+    every = sieve_primes(limit)
+    split = int(np.searchsorted(every, root, side="right"))
+    for p in every[:split].tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    large = every[split:]
+    for m in range(1, limit // (root + 1) + 1):
+        q = large[: int(np.searchsorted(large, limit // m, side="right"))]
+        mu[m * q] *= -1
+    return mu
+
+
+def whole_array_histogram(bound: int, kernel) -> tuple:
+    """counting.histogram of kernel(d) over every squarefree d <= bound,
+    the whole two-pass sieve converted to Python ints at once."""
+    mu = two_pass_moebius(bound)
+    d = mu.nonzero()[0]
+    return histogram(zip(d.tolist(), mu[d].tolist()), kernel)
 
 
 def scan_multiples(p: Progression, d: int) -> int:

@@ -319,6 +319,32 @@ def test_costly_power_weights_exit_4_at_once(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("G", "--n", "1000000000", "--k", "2"),
+         "a Möbius sieve to 1000000000 passes the limit of 16777216"),
+        (("f", "--set", "1000000000..1000100000"),
+         "a Möbius sieve to 1000100000 passes the limit of 16777216"),
+        (("f", "--set", "ap(1,1000,100000)"),
+         "a Möbius sieve to 99999001 passes the limit of 16777216"),
+        (("G", "--n", "1000", "--k", "419430"),
+         "counting 419430-tuples over [1, 1000] may take 31 weights of up to "
+         "4194300 bits, whose work passes the limit of 16777216"),
+        (("S", "--n", "1000", "--k", "419430", "--m", "30030"),
+         "counting 419430-tuples over [1, 1000] may take 15 weights of up to "
+         "4194300 bits, whose work passes the limit of 16777216"),
+    ],
+    ids=("G-sieve", "f-interval-sieve", "f-ap-sieve", "G-weights", "S-weights"),
+)
+def test_oversized_walks_exit_4_at_once(capsys, argv, message):
+    # each ran for seconds or took the host's memory before it was refused
+    start = perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out, err) == (4, "", f"relprime: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, bits",
     [
         (("G", "--n", "10", "--k", "100000000000000000000"), 4 * 10**20),

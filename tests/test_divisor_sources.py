@@ -17,6 +17,7 @@ no oracle reaches.
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -70,6 +71,7 @@ from conftest import (
     primes_up_to,
     primorial_up_to,
     random_union,
+    whole_array_histogram,
 )
 
 SMALL_PRIMORIAL = primorial_up_to(13)  # 30030
@@ -516,6 +518,35 @@ def test_sieve_stream_hands_only_python_ints_to_the_walk(monkeypatch):
     assert all(type(d) is int and type(mu) is int for d, mu in streamed)
     assert kernel_args[: len(streamed)] == [d for d, _ in streamed]
     assert all(type(d) is int for d in kernel_args)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=20000), st.integers(min_value=1, max_value=64))
+@example(10**6, counting._SIEVE_CHUNK)
+def test_chunked_sieve_stream_equals_the_whole_array_stream(bound, chunk):
+    # a small chunk crosses chunk edges; the 10^6 example takes the real
+    # chunk over four of its edges
+    kernels = (partial(floordiv, bound),
+               partial(union_multiples, validate_union([Progression(1, 3, bound)])))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_SIEVE_CHUNK", chunk)
+        for kernel in kernels:
+            assert counting.sieve_histogram(bound, kernel) == whole_array_histogram(bound, kernel)
+
+
+def test_sieve_stream_memory_stays_within_a_chunk():
+    # the whole stream to 3 * 10^6 as Python ints would take over 100 MB;
+    # the walk holds the sieve, about 3 bytes per entry while it is built,
+    # and one chunk of ints
+    numtheory.moebius_sieve.cache_clear()
+    tracemalloc.start()
+    try:
+        pairs = counting.sieve_histogram(3 * 10**6, partial(floordiv, 3 * 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(c * e for c, e in pairs) == 1  # sum of mu(d) * floor(n/d) over d <= n
+    assert peak < 24 * 2**20
 
 
 def sum_by_definition(modulus, bound, kernel, weight):

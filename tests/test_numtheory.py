@@ -1,5 +1,6 @@
 """Möbius, squarefree divisor, and factoring building blocks."""
 
+import sys
 from collections import Counter
 from itertools import combinations
 from math import factorial, prod
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relprime import DomainError
+from relprime import BudgetExceededError, DomainError, f, f_k, g_count, h_count, parse_set_spec
+from relprime import _kernels
 from relprime._kernels import moebius_values
 from relprime.numtheory import factorize, moebius_sieve, squarefree_divisor_terms
 from relprime import numtheory
@@ -57,6 +59,35 @@ def test_square_root_sieve_equals_the_per_prime_sieve(limit):
     mu = moebius_values(limit)
     assert mu.dtype == np.int8
     assert np.array_equal(mu, per_prime_moebius(limit))
+
+
+class Allocated(Exception):
+    pass
+
+
+def test_sieves_past_the_limit_are_refused_before_allocating(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "ones", allocate)
+    monkeypatch.setattr(np, "zeros", allocate)
+    limit = _kernels.MAX_SIEVE_LIMIT
+    assert limit >= 10**7  # the largest walk the docs show
+    for call in (
+        lambda: moebius_values(limit + 1),
+        lambda: moebius_sieve(limit + 1),
+        lambda: g_count(10**9, 2),
+        lambda: h_count(10**9, 2),
+        lambda: f(parse_set_spec("1000000000..1000100000")),
+        lambda: f_k(parse_set_spec("ap(1,1000,100000)"), 3),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"passes the limit of {limit}$"):
+            call()
+    with pytest.raises(Allocated):
+        moebius_values(limit)  # at the limit, so the sieve is built
+    # past what an array can index the refusal stays an OverflowError
+    with pytest.raises(OverflowError):
+        moebius_values(sys.maxsize)
 
 
 def test_moebius_identity_over_divisors():

@@ -24,6 +24,7 @@ from relprime import (
 )
 from relprime import shonhiwa
 from relprime.counting import binomial
+from relprime.numtheory import squarefree_divisor_terms
 from conftest import primorial_up_to, radical
 
 
@@ -153,6 +154,50 @@ def test_binomial_work_is_the_bits_times_the_smaller_side(monkeypatch):
     monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", 0)
     assert s_count(10, 4, 6) == brute_tuples(10, 4, 6)
     assert g_count(10, 4) == brute_tuples(10, 4)
+
+
+def test_heavy_weights_together_are_refused_before_any_weight(monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("a weight was computed")
+
+    monkeypatch.setattr(shonhiwa, "tuple_sum", no_weights)
+    # each passes every per-weight bound; the first took 42 s
+    for call, count in (
+        (lambda: g_count(100000, 246723), 316),
+        (lambda: g_count(25, 671089), 5),  # one position past the limit
+        (lambda: s_count(1000, 419430, 30030), 15),
+        (lambda: s_count(36, 559241, 30), 5),  # 1, 2, 3, 5 and 6 divide 30
+        (lambda: t_count(10**9, 30000, 30030), 64),
+        (lambda: l_count(10**9, 30000, 30030), 64),
+    ):
+        with pytest.raises(BudgetExceededError,
+                           match=f"may take {count} weights of up to .* passes the limit of"):
+            call()
+    for call in (
+        lambda: g_count(25, 671088),  # at the limit
+        lambda: s_count(36, 559241, 6),  # 4 of the squarefree d <= 6 divide 6
+        lambda: s_count(1000003, 209715, 6),
+        # a smaller side of at most floor(n/d) leaves 2 heavy weights, not 316
+        lambda: h_count(10**5, 10**5),
+    ):
+        with pytest.raises(AssertionError, match="a weight was computed"):
+            call()
+
+
+def test_divisors_of_m_are_counted_only_past_the_cheap_bound(monkeypatch):
+    calls = []
+
+    def spy(m, bound):
+        calls.append((m, bound))
+        return squarefree_divisor_terms(m, bound)
+
+    monkeypatch.setattr(shonhiwa, "squarefree_divisor_terms", spy)
+    monkeypatch.setattr(shonhiwa, "tuple_sum", lambda *args: 0)
+    for count in (s_count, l_count, t_count):
+        count(3000, 3, 30030)
+    assert calls == []
+    s_count(36, 559241, 6)
+    assert calls == [(6, 6)]
 
 
 def test_matches_brute_tuples_small_grid():
