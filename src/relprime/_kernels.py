@@ -17,13 +17,19 @@ far fewer, and each side refuses to hold more than a fixed number of
 classes.  It is plain Python and loads no numpy.  The tuple walk
 counts prefixes by class, (gcd so far, last value), taking one step
 per class and next value and so never more than one per prefix, and
-counts its last position with np.gcd.  It holds its classes, each of
-whose gcds divides its last value, so at most n of them for ordered
-tuples and about n ln n otherwise, and one window of at most 2^16
-values.  Integers of any size take the same paths: the tuple window is
-int64, cast to an object array of Python ints, which np.gcd takes as
-well, only for a gcd past int64.  Every function returns the same
-integers its definition does.
+counts its last position once per distinct class gcd g: np.gcd tests
+g against its residues up to g / 2 or against the values its classes
+may take, whichever is fewer, the tests of many gcds sharing batches
+of at most _TUPLE_BLOCK values, and each class reads its count from
+running counts of the coprime tests; a last position of at most
+_TUPLE_PAIRS classes times values takes one math.gcd per class and
+value instead.  It holds its classes, each of whose gcds divides its
+last value, so at most n of them for ordered tuples and about n ln n
+otherwise, as arrays once the last position starts, and one batch.
+Integers of any size take the same paths: a batch is in the narrowest
+signed dtype that holds n, every gcd and the batch's offsets, and an
+object array of Python ints, which np.gcd takes as well, only past
+int64.  Every function returns the same integers its definition does.
 
 The formula paths touch these arrays only through the Möbius table:
 numtheory caches the int8 array moebius_values returns, made
@@ -37,7 +43,9 @@ are plain Python and need none.
 """
 
 import sys
+from itertools import repeat
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import BudgetExceededError
 
@@ -46,10 +54,16 @@ BACKEND = "numpy"
 ORDERED, NONDECREASING, STRICT = 0, 1, 2
 
 # the subset walk's low side takes the first _SUBSET_BLOCK_BITS elements,
-# so it holds at most 2^_SUBSET_BLOCK_BITS classes; the tuple walk counts
-# its last position in windows of at most _TUPLE_BLOCK values
+# so it holds at most 2^_SUBSET_BLOCK_BITS classes; the tuple walk tests
+# its last position in batches of at most _TUPLE_BLOCK values, which keeps
+# a batch and the arrays built from it near 0.3 MB for n below 2^15
 _SUBSET_BLOCK_BITS = 12
-_TUPLE_BLOCK = 1 << 16
+_TUPLE_BLOCK = 1 << 14
+# up to this many classes times values, the last position takes one
+# math.gcd per class and value: the grouped numpy pass costs about 0.1 ms
+# however small, and verify's query_p90_ms read 15% higher without this
+# (10 interleaved benchmark pairs on a 2-core host)
+_TUPLE_PAIRS = 1 << 10
 # each side of the subset walk refuses more (gcd, size) classes than
 # this, so its dicts stay under about 64 MB: tracemalloc saw a 37 MB peak
 # at the refusal for x_i = P/p_i, whose gcds pass 64 bits; the default
@@ -147,13 +161,6 @@ def _subset_classes(values, start, total):
     return classes
 
 
-def _gcd_with(table, g):
-    # np.gcd(table, g) on int64 arrays, cast to Python ints for a g past int64
-    import numpy as np
-
-    return np.gcd(table.astype(object, copy=False) if g > INT64_MAX else table, g)
-
-
 def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
     """Count k-tuples over [1, n] in one ordering regime with gcd == 1.
 
@@ -165,11 +172,12 @@ def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
     position is left, or until a step returns the same classes, since
     every later step would too.  A strict prefix only takes values that
     leave room for the larger ones still to come, so prefixes that cannot
-    reach length k drop out at once.  The last position is counted with
-    np.gcd over windows of at most _TUPLE_BLOCK values, on Python ints
-    once a gcd passes int64 (only k = 1 with a huge fold gets there).
+    reach length k drop out at once; k = n leaves the one strict tuple
+    1..n, whose gcd is 1, and k > n none.  The last position is counted
+    once per class gcd, not once per class (see _last_position), unless
+    the classes times n are at most _TUPLE_PAIRS: then one math.gcd per
+    class and value is quicker than any numpy pass.
     """
-    import numpy as np
 
     def span(last, depth):
         # the values position depth + 1 may take after last
@@ -179,6 +187,10 @@ def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
             return range(last, n + 1)
         return range(last + 1, n - (k - depth - 1) + 1)
 
+    if k == 1 and not fold:
+        return min(n, 1)  # gcd(0, v) = v, so only v = 1 counts
+    if regime == STRICT and k >= n:
+        return int(k == n)
     classes = {(fold, 1 if regime == NONDECREASING else 0): 1}
     for depth in range(k - 1):
         grown = {}
@@ -189,10 +201,102 @@ def tuple_gcd_count(n: int, k: int, fold: int, regime: int) -> int:
         if grown == classes:
             break
         classes = grown
-    total = 0
-    for (g, last), count in classes.items():
-        values = span(last, k - 1)
-        for lo in range(values.start, values.stop, _TUPLE_BLOCK):
-            window = np.arange(lo, min(lo + _TUPLE_BLOCK, values.stop), dtype=np.int64)
-            total += count * int(np.count_nonzero(_gcd_with(window, g) == 1))
-    return total
+    if len(classes) * n <= _TUPLE_PAIRS:
+        return sum(c * [*map(gcd, repeat(g), span(last, k - 1))].count(1) for (g, last), c in classes.items())
+    return _last_position(classes, n, regime)
+
+
+def _last_position(classes, n, regime):
+    """Sum of count * #{v in [x + 1, n] : gcd(g, v) == 1} over the classes.
+
+    Each class (g, last) -> count, g > 0, lets its last value run from
+    x + 1 to n, and counts Q(n) - Q(x), Q(x) being the number of v <= x
+    coprime to g.  Every distinct g is tested once, by np.gcd, against
+    whichever is fewer: its residues 1..h, h = (g - 1) // 2, or the
+    values from its classes' lowest start to n.  With H(j) the coprime
+    ones among the first j tested, Q(x) = (x // m) * phi + R(x mod m).
+    For the residues m = g and phi = 2 * H(h) + (g <= 2), since the
+    residue g / 2 is coprime only to 2 and the residue 0 only to 1; R(r),
+    the coprime residues in 1..r, is H(r) below g / 2 and phi -
+    H(g - 1 - r) from there on, since gcd(g, r) = gcd(g, g - r).  For the
+    values m passes 2n, so x // m = 0 and R(x) counts the coprime values
+    tested up to x, Q(x) less a constant that cancels.  classes is
+    emptied once it is copied into arrays, which frees its dict before
+    the tests run.
+    """
+    import numpy as np
+
+    index = {}
+    which = np.array([index.setdefault(g, len(index)) for g, _ in classes])
+    top = max(n, max(index))
+    wide = object if top > INT64_MAX else np.int64
+    groups = np.array(list(index), dtype=wide)
+    del index
+    # x + 1, the span's start, is 1 (ordered), last or last + 1
+    x = np.array([last for _, last in classes], dtype=wide) - (regime == NONDECREASING)
+    counts = list(classes.values())
+    classes.clear()
+    low = np.full(len(groups), n, dtype=wide)
+    np.minimum.at(low, which, x)
+    half = (groups - 1) // 2
+    residues = half < n - low
+    # a group tests residues modulo g, or values modulo a number past 2n,
+    # which leaves them as they are
+    modulus = np.where(residues, groups, 2 * n + 1)
+    low[residues] = 0
+    edges = np.concatenate(([0], np.cumsum(np.where(residues, half, n - low)))).astype(np.int64)
+    m, base = modulus[which], (edges[:-1] - low)[which]
+
+    def place(x):
+        # the test offset Q(x) reads, and whether R reflects it
+        r = x % m
+        flip = 2 * r >= m
+        return base + np.where(flip, m - 1 - r, r), flip
+
+    (n_at, n_flip), (x_at, x_flip) = place(n), place(x)
+    reads = np.concatenate((edges, n_at, x_at)).astype(np.int64)
+    del half, modulus, n_at, x_at
+    seen = _coprime_prefixes(groups, low + 1, edges, reads, top).astype(wide, copy=False)
+    at_n, at_x = seen[len(edges) : len(edges) + len(x)], seen[len(edges) + len(x) :]
+    at_base = seen[which]
+    phi = 2 * (seen[which + 1] - at_base) + (m <= 2)
+
+    def coprimes_to(x, at, flip):
+        h = at - at_base
+        return x // m * phi + h + flip * (phi - 2 * h)
+
+    per_class = coprimes_to(n, at_n, n_flip) - coprimes_to(x, at_x, x_flip)
+    return sum(map(mul, counts, map(int, per_class)))
+
+
+def _coprime_prefixes(groups, first, edges, reads, top):
+    """How many of the first q tests are coprime, for each q in reads.
+
+    The tests run end to end: those at offsets edges[j] up to edges[j + 1]
+    check first[j], first[j] + 1, ... against groups[j].  They are
+    checked in batches of at most _TUPLE_BLOCK values, one np.gcd call
+    each, in the narrowest signed dtype that holds top and a batch's
+    offsets.  reads is sorted once, so each batch takes its reads as one
+    slice.
+    """
+    import numpy as np
+
+    dtype = object if top > INT64_MAX else np.min_scalar_type(-1 - max(top, _TUPLE_BLOCK))
+    order = np.argsort(reads, kind="stable")
+    reads = reads[order]
+    seen = np.zeros(len(reads), dtype=np.int64)
+    done = 0
+    for start in range(0, int(edges[-1]), _TUPLE_BLOCK):
+        stop = min(start + _TUPLE_BLOCK, int(edges[-1]))
+        a, b = np.searchsorted(edges, start, side="right") - 1, np.searchsorted(edges, stop)
+        bounds = edges[a : b + 1].copy()
+        bounds[0], bounds[-1] = start, stop
+        takes = bounds[1:] - bounds[:-1]
+        # a test at offset p checks first + p - edge
+        values = np.repeat((first[a:b] - edges[a:b] + start).astype(dtype), takes)
+        values += np.arange(stop - start, dtype=dtype)
+        found = np.flatnonzero(np.gcd(values, np.repeat(groups[a:b].astype(dtype), takes)) == 1)
+        i, j = np.searchsorted(reads, (start, stop), side="right")
+        seen[order[i:j]] = done + np.searchsorted(found, reads[i:j] - start)
+        done += len(found)
+    return seen

@@ -7,7 +7,11 @@ the kernels of _kernels, one path for integers of every size: the subset
 walk counts the subsets of the first 12 elements and of the rest by
 (gcd, size) class and joins the two on coprime gcds, in plain Python,
 and the tuple walk counts prefixes by (gcd so far, last value) class,
-one step per class and next value.  Budgets bound the work, stopping
+one step per class and next value, then tests each distinct gcd once
+with np.gcd against the values left for the last position (or against
+half its residues, when fewer) and reads every class's count from
+those tests, or, for a few classes over a short range, takes one
+math.gcd per class and value.  Budgets bound the work, stopping
 runaway recounts before they start, and the subset walk refuses to
 outgrow its memory.  An OracleBudget is one of setmodel's immutable
 records.

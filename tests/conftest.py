@@ -12,10 +12,12 @@ two_pass_moebius the one after it, which sieved the primes first and
 then marked mu from them; whole_array_histogram the sieve stream that
 converted the whole sieve to Python ints at once;
 blocked_subset_counts the first subset pass, which took the gcd of
-every subset in blocks; and table_fold_subset_counts the pass after it,
+every subset in blocks; table_fold_subset_counts the pass after it,
 which folded its high classes against a numpy gcd table of the low
-elements.  moebius, radical, primes_up_to and primorial_up_to, which
-the package itself never calls, serve the bridge identities.
+elements; and per_class_tuple_count the former tuple walk, which
+counted its last position once per class.  moebius, radical,
+primes_up_to and primorial_up_to, which the package itself never calls,
+serve the bridge identities.
 
 Every test starts with an empty subset-histogram cache, so a test that
 counts sieve or kernel calls sees the same calls in any order.
@@ -323,6 +325,44 @@ def tuples_recount(n, k, fold, ordering):
     Python ints, so it shares nothing with the package's class walk.
     """
     return sum(reduce(gcd, entry, fold) == 1 for entry in tuple_walk(n, k, ordering))
+
+
+def per_class_tuple_count(n, k, fold, regime):
+    """k-tuples over [1, n] in one regime whose gcd with fold is 1.
+
+    The former tuple walk: the package's class walk, stopping at a fixed
+    point, then one np.gcd pass per class over the values its last
+    position may take, in windows of at most _kernels._TUPLE_BLOCK int64
+    values, cast to Python ints for a gcd past int64.
+    """
+    import numpy as np
+
+    def span(last, depth):
+        if regime == _kernels.ORDERED:
+            return range(1, n + 1)
+        if regime == _kernels.NONDECREASING:
+            return range(last, n + 1)
+        return range(last + 1, n - (k - depth - 1) + 1)
+
+    classes = {(fold, 1 if regime == _kernels.NONDECREASING else 0): 1}
+    for depth in range(k - 1):
+        grown = {}
+        for (g, last), count in classes.items():
+            for v in span(last, depth):
+                key = (gcd(g, v), 0 if regime == _kernels.ORDERED else v)
+                grown[key] = grown.get(key, 0) + count
+        if grown == classes:
+            break
+        classes = grown
+    total = 0
+    for (g, last), count in classes.items():
+        values = span(last, k - 1)
+        for lo in range(values.start, values.stop, _kernels._TUPLE_BLOCK):
+            window = np.arange(lo, min(lo + _kernels._TUPLE_BLOCK, values.stop), dtype=np.int64)
+            if g > _kernels.INT64_MAX:
+                window = window.astype(object)
+            total += count * int(np.count_nonzero(np.gcd(window, g) == 1))
+    return total
 
 
 def random_progression(rng, max_first=40, max_step=12, max_length=12):

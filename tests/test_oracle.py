@@ -37,6 +37,7 @@ from relprime import _kernels
 from conftest import (
     blocked_subset_counts,
     moebius,
+    per_class_tuple_count,
     primes_up_to,
     primorial_up_to,
     random_union,
@@ -406,6 +407,97 @@ def test_single_position_walks_value_windows():
             assert _kernels.tuple_gcd_count(n, 1, fold, regime) == expected
 
 
+@settings(max_examples=150)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=4),
+    regime=st.sampled_from(sorted(REGIMES)),
+    fold=st.sampled_from([0, 1, 6, 30030, 2**64 + 1]),
+    block=st.integers(min_value=1, max_value=8),
+)
+@example(n=40, k=2, regime=_kernels.NONDECREASING, fold=0, block=7)
+@example(n=40, k=3, regime=_kernels.ORDERED, fold=30030, block=5)
+@example(n=40, k=1, regime=_kernels.STRICT, fold=2**64 + 1, block=3)
+def test_last_position_by_gcd_matches_the_per_class_count(n, k, regime, fold, block):
+    # the grouped pass even where one gcd per class and value would be
+    # taken, in batches of 1-8 values that split inside a gcd's tests and
+    # inside its residue range; the tuples are recounted where they are few
+    with patch.object(_kernels, "_TUPLE_BLOCK", block), patch.object(_kernels, "_TUPLE_PAIRS", 0):
+        count = _kernels.tuple_gcd_count(n, k, fold, regime)
+        assert count == per_class_tuple_count(n, k, fold, regime)
+    assert _kernels.tuple_gcd_count(n, k, fold, regime) == count
+    if n**k <= 20000:
+        assert count == tuples_recount(n, k, fold, REGIMES[regime])
+
+
+def test_last_position_edge_gcds(monkeypatch):
+    monkeypatch.setattr(_kernels, "_TUPLE_PAIRS", 0)
+    for n in range(1, 16):
+        for regime in REGIMES:
+            # g = 2 tests no residue: only 1 = g / 2 is coprime
+            assert _kernels.tuple_gcd_count(n, 1, 2, regime) == (n + 1) // 2
+            # g > n: 13 tests its residues 1..6 once n > 6, 77 and 2^64 + 1
+            # the values 1..n
+            for fold in (13, 77, 2**64 + 1):
+                expected = sum(gcd(v, fold) == 1 for v in range(1, n + 1))
+                assert _kernels.tuple_gcd_count(n, 1, fold, regime) == expected
+        for ordering in REGIMES.values():
+            assert brute_tuples(n, 2, 2, ordering) == tuples_recount(n, 2, 2, ordering)
+    # H: 1349 classes, one per gcd; T: about 1700 classes over at most 128 gcds
+    assert brute_tuples(1349, 2, None, "nondecreasing") == h_count(1349, 2)
+    assert brute_tuples(1708, 2, 510510, "strict") == t_count(1708, 2, 510510)
+
+
+def test_strict_k_of_n_answers_at_once():
+    # k = n leaves the one strict tuple 1..n, so the walk answers 1 instead
+    # of taking 10^7 steps of one class each; k > n leaves none
+    started = time.perf_counter()
+    assert brute_tuples(10**7, 10**7, 6, "strict") == t_count(10**7, 10**7, 6) == 1
+    assert time.perf_counter() - started < 1.0
+    for n in range(1, 8):
+        for k in (n, n + 1):
+            for fold in FOLDS + HUGE_MODULI:
+                expected = tuples_recount(n, k, fold, "strict")
+                assert _kernels.tuple_gcd_count(n, k, fold, _kernels.STRICT) == expected
+
+
+def test_no_gcd_call_passes_the_block(monkeypatch):
+    sizes = []
+
+    class Spy:
+        def __call__(self, a, b, **kwargs):
+            sizes.append(max(np.size(a), np.size(b)))
+            return gcd_ufunc(a, b, **kwargs)
+
+    gcd_ufunc = np.gcd
+    cases = [(30, 2, 6, r) for r in REGIMES] + [(40, 1, 2**64 + 1, 0)]
+    expected = [tuples_recount(n, k, fold, REGIMES[r]) for n, k, fold, r in cases]
+    monkeypatch.setattr(np, "gcd", Spy())
+    monkeypatch.setattr(_kernels, "_TUPLE_BLOCK", 8)
+    monkeypatch.setattr(_kernels, "_TUPLE_PAIRS", 0)
+    assert [_kernels.tuple_gcd_count(*case) for case in cases] == expected
+    assert sizes and max(sizes) <= 8
+
+
+@pytest.mark.parametrize(
+    "n, regime, formula",
+    [(4000, _kernels.NONDECREASING, h_count), (3000, _kernels.ORDERED, g_count)],
+    ids=["H(4000,2)", "G(3000,2)"],
+)
+def test_last_position_memory_stays_near_a_megabyte(n, regime, formula):
+    # the classes' dict alone takes about 0.6 MB for H(4000, 2); the last
+    # position empties it once its classes are arrays, then holds those
+    # arrays and one batch of _TUPLE_BLOCK values
+    tracemalloc.start()
+    try:
+        count = _kernels.tuple_gcd_count(n, 2, 0, regime)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == formula(n, 2)
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "count, expected",
     [
@@ -420,7 +512,7 @@ def test_single_position_walks_value_windows():
 )
 def test_oracle_memory_stays_within_a_block(count, expected):
     # an unblocked subset pass allocates about 2 GiB for 1..26; the tuple
-    # walk holds one window and its classes, whose number grows with n:
+    # walk holds one batch and its classes, whose number grows with n:
     # 3000 gcds after the first of two positions
     tracemalloc.start()
     try:
