@@ -5,16 +5,15 @@ be checked against genuinely independent code; the only shared pieces are
 gcd itself and the set model's element enumeration.  The recounts run in
 the kernels of _kernels, one path for integers of every size: the subset
 walk counts the subsets of the first 12 elements and of the rest by
-(gcd, size) class and joins the two on coprime gcds, in plain Python,
-and the tuple walk counts prefixes by (gcd so far, last value) class,
-one step per class and next value, then tests each distinct gcd once
-with np.gcd against the values left for the last position (or against
-half its residues, when fewer) and reads every class's count from
-those tests, or, for a few classes over a short range, takes one
-math.gcd per class and value.  Budgets bound the work, stopping
-runaway recounts before they start, and the subset walk refuses to
-outgrow its memory.  An OracleBudget is one of setmodel's immutable
-records.
+(gcd, size) class and joins the two on coprime gcds, and the tuple walk
+counts prefixes by (gcd so far, last value) class, one step per class
+and next value, then, once per distinct gcd g, finds g's primes up to n
+by its own trial division, zeroes their multiples among the values left
+for the last position in bytearray windows and reads every class's
+count from the bytes left set.  Both walks are plain Python and load no
+numpy.  Budgets bound the work, stopping runaway recounts before they
+start, and the subset walk refuses to outgrow its memory.  An
+OracleBudget is one of setmodel's immutable records.
 """
 
 from . import _kernels

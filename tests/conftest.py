@@ -40,6 +40,8 @@ from relprime.counting import histogram, subset_histogram
 from relprime.errors import check_positive
 from relprime.numtheory import factorize, squarefree_divisor_terms
 
+INT64_MAX = 2**63 - 1
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -229,7 +231,7 @@ def blocked_subset_counts(elements, fold):
 
     bits = _kernels._SUBSET_BLOCK_BITS
     values = [int(v) for v in elements]
-    dtype = np.int64 if max([fold, *values]) <= _kernels.INT64_MAX else object
+    dtype = np.int64 if max([fold, *values]) <= INT64_MAX else object
     low, high = values[:bits], values[bits:]
     low_gcd, low_size = gcd_table(low, dtype)
     width = len(low) + 1
@@ -256,7 +258,7 @@ def table_fold_subset_counts(elements, fold):
 
     bits = _kernels._SUBSET_BLOCK_BITS
     values = [int(v) for v in elements]
-    dtype = np.int64 if max([fold, *values]) <= _kernels.INT64_MAX else object
+    dtype = np.int64 if max([fold, *values]) <= INT64_MAX else object
     low, high = values[:bits], values[bits:]
     classes = {(fold, 0): 1}
     for v in high:
@@ -359,7 +361,7 @@ def per_class_tuple_count(n, k, fold, regime):
         values = span(last, k - 1)
         for lo in range(values.start, values.stop, _kernels._TUPLE_BLOCK):
             window = np.arange(lo, min(lo + _kernels._TUPLE_BLOCK, values.stop), dtype=np.int64)
-            if g > _kernels.INT64_MAX:
+            if g > INT64_MAX:
                 window = window.astype(object)
             total += count * int(np.count_nonzero(np.gcd(window, g) == 1))
     return total

@@ -412,17 +412,18 @@ def test_single_position_walks_value_windows():
     n=st.integers(min_value=1, max_value=40),
     k=st.integers(min_value=1, max_value=4),
     regime=st.sampled_from(sorted(REGIMES)),
-    fold=st.sampled_from([0, 1, 6, 30030, 2**64 + 1]),
+    fold=st.sampled_from([0, 1, 6, 30030, 2**64 + 1, 41 * 43, 37 * (10**9 + 7), 10**9 + 7]),
     block=st.integers(min_value=1, max_value=8),
 )
 @example(n=40, k=2, regime=_kernels.NONDECREASING, fold=0, block=7)
 @example(n=40, k=3, regime=_kernels.ORDERED, fold=30030, block=5)
 @example(n=40, k=1, regime=_kernels.STRICT, fold=2**64 + 1, block=3)
 def test_last_position_by_gcd_matches_the_per_class_count(n, k, regime, fold, block):
-    # the grouped pass even where one gcd per class and value would be
-    # taken, in batches of 1-8 values that split inside a gcd's tests and
-    # inside its residue range; the tuples are recounted where they are few
-    with patch.object(_kernels, "_TUPLE_BLOCK", block), patch.object(_kernels, "_TUPLE_PAIRS", 0):
+    # windows of 1-8 values split a gcd's group between its classes and
+    # inside a class's span; 41 * 43 has no prime up to 40, 37 * (10^9 + 7)
+    # one, and the prime 10^9 + 7 none, so its trial division runs to n;
+    # the tuples are recounted where they are few
+    with patch.object(_kernels, "_TUPLE_BLOCK", block):
         count = _kernels.tuple_gcd_count(n, k, fold, regime)
         assert count == per_class_tuple_count(n, k, fold, regime)
     assert _kernels.tuple_gcd_count(n, k, fold, regime) == count
@@ -430,14 +431,14 @@ def test_last_position_by_gcd_matches_the_per_class_count(n, k, regime, fold, bl
         assert count == tuples_recount(n, k, fold, REGIMES[regime])
 
 
-def test_last_position_edge_gcds(monkeypatch):
-    monkeypatch.setattr(_kernels, "_TUPLE_PAIRS", 0)
+def test_last_position_edge_gcds():
     for n in range(1, 16):
         for regime in REGIMES:
-            # g = 2 tests no residue: only 1 = g / 2 is coprime
+            # g = 2 zeroes every even value
             assert _kernels.tuple_gcd_count(n, 1, 2, regime) == (n + 1) // 2
-            # g > n: 13 tests its residues 1..6 once n > 6, 77 and 2^64 + 1
-            # the values 1..n
+            # a prime past n divides no value up to n: 13 zeroes none for
+            # n < 13, 77 only the multiples of 7 (and of 11 from n = 11),
+            # and 2^64 + 1 = 274177 * 67280421310721 none
             for fold in (13, 77, 2**64 + 1):
                 expected = sum(gcd(v, fold) == 1 for v in range(1, n + 1))
                 assert _kernels.tuple_gcd_count(n, 1, fold, regime) == expected
@@ -461,22 +462,35 @@ def test_strict_k_of_n_answers_at_once():
                 assert _kernels.tuple_gcd_count(n, k, fold, _kernels.STRICT) == expected
 
 
-def test_no_gcd_call_passes_the_block(monkeypatch):
-    sizes = []
+def test_no_coprime_window_passes_the_block(monkeypatch):
+    widths = []
 
-    class Spy:
-        def __call__(self, a, b, **kwargs):
-            sizes.append(max(np.size(a), np.size(b)))
-            return gcd_ufunc(a, b, **kwargs)
+    class Window(bytearray):
+        # records the length of every bytearray the walk builds
+        def __init__(self, *args):
+            super().__init__(*args)
+            widths.append(len(self))
 
-    gcd_ufunc = np.gcd
+        def __mul__(self, times):
+            widths.append(len(self) * times)
+            return bytearray(self) * times
+
     cases = [(30, 2, 6, r) for r in REGIMES] + [(40, 1, 2**64 + 1, 0)]
     expected = [tuples_recount(n, k, fold, REGIMES[r]) for n, k, fold, r in cases]
-    monkeypatch.setattr(np, "gcd", Spy())
+    monkeypatch.setattr(_kernels, "bytearray", Window, raising=False)
     monkeypatch.setattr(_kernels, "_TUPLE_BLOCK", 8)
-    monkeypatch.setattr(_kernels, "_TUPLE_PAIRS", 0)
     assert [_kernels.tuple_gcd_count(*case) for case in cases] == expected
-    assert sizes and max(sizes) <= 8
+    assert widths and max(widths) <= 8
+    monkeypatch.undo()
+    # one window of 2^14 bytes at a time, where the whole range takes 1 MB
+    tracemalloc.start()
+    try:
+        count = _kernels.tuple_gcd_count(10**6, 1, 30030, _kernels.STRICT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == t_count(10**6, 1, 30030)
+    assert peak < 128 * 2**10
 
 
 @pytest.mark.parametrize(
@@ -486,8 +500,8 @@ def test_no_gcd_call_passes_the_block(monkeypatch):
 )
 def test_last_position_memory_stays_near_a_megabyte(n, regime, formula):
     # the classes' dict alone takes about 0.6 MB for H(4000, 2); the last
-    # position empties it once its classes are arrays, then holds those
-    # arrays and one batch of _TUPLE_BLOCK values
+    # position adds a sorted list of its keys, one gcd's classes and one
+    # window of at most _TUPLE_BLOCK bytes
     tracemalloc.start()
     try:
         count = _kernels.tuple_gcd_count(n, 2, 0, regime)
@@ -512,7 +526,7 @@ def test_last_position_memory_stays_near_a_megabyte(n, regime, formula):
 )
 def test_oracle_memory_stays_within_a_block(count, expected):
     # an unblocked subset pass allocates about 2 GiB for 1..26; the tuple
-    # walk holds one batch and its classes, whose number grows with n:
+    # walk holds one window and its classes, whose number grows with n:
     # 3000 gcds after the first of two positions
     tracemalloc.start()
     try:

@@ -3,10 +3,10 @@
 Nor does the import load dataclasses or the inspect machinery it pulls
 in: the package's three records are plain slotted classes.
 
-numpy is imported inside the array kernels, so only the sieve walk, the
-prime lists and the tuple oracle pay for it, on first use; the subset
-oracle's class walk is plain Python.  Each check runs in a fresh
-interpreter, since this test process has loaded numpy long before.
+numpy is imported inside the Möbius sieve, so only the sieve walk pays
+for it, on first use; both oracle walks, over subsets and over tuples,
+are plain Python.  Each check runs in a fresh interpreter, since this
+test process has loaded numpy long before.
 """
 
 import subprocess
@@ -33,6 +33,8 @@ relprime.t_count(50, 3, 30030)
 X = relprime.parse_set_spec("1000000000000..1000000000021")
 relprime.brute_f(X)
 relprime.brute_phi(X, 30030)
+relprime.brute_tuples(60, 3, 30030, "strict")
+relprime.brute_tuples(300, 2, 6, "nondecreasing")
 assert "numpy" not in sys.modules, "array-free paths"
 value = relprime.f(relprime.parse_set_spec("1..2000"))
 assert "numpy" in sys.modules, "sieve walk"
