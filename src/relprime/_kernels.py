@@ -1,13 +1,14 @@
 """Hot loops: the Möbius sieve, the subset class walk and the tuple
 walk.
 
-Each has one implementation.  The sieve is vectorized numpy.  One loop
-over the primes up to the square root of its limit crosses off their
-multiples and marks mu in the same pass; the entries it leaves
-uncrossed above the square root are the large primes, and each n gets
-its one prime factor above the square root, if it has one, with one
-fancy-indexed sign flip per cofactor m.  A sieve past MAX_SIEVE_LIMIT
-is refused before anything is allocated.  Both oracle
+Each has one implementation, in plain Python over bytearrays and
+dicts, so the package has no runtime dependency.  The sieve crosses off
+the multiples of the primes up to the square root of its limit with
+bytearray slice assignments, copies the flags of the primes above the
+root onto their multiples, one strided slice per cofactor, marks the
+small primes' parity and squares with translate, and maps the result
+to mu with one last translate.  A sieve past MAX_SIEVE_LIMIT is refused
+before anything is allocated.  Both oracle
 kernels count by class in a dict.  The subset walk splits every subset
 into a low part, from the first 12 elements, and a high part, counts
 each side by (gcd, size) class, one step per class and element, and
@@ -22,28 +23,23 @@ multiples in bytearray windows of at most _TUPLE_BLOCK values, and
 each class reads its count from a running count of the bytes left
 set.  It holds its classes, each of whose gcds divides its last value,
 so at most n of them for ordered tuples and about n ln n otherwise,
-and one window.  Both walks are plain Python, load no numpy and take
-integers of any size on the same path.  Every function returns the
-same integers its definition does.
+and one window.  Both walks take integers of any size on the same
+path.  Every function returns the same integers its definition does.
 
-The formula paths touch arrays only through the Möbius table:
-numtheory caches the int8 array moebius_values returns, made
-read-only, and each walk over it converts the nonzero entries it reads
-to Python ints, one chunk at a time.
-
-numpy is imported inside moebius_values, never at module level, so
-importing the package loads no numpy: only the sieve loads it, on
-first use.  The constants below are plain Python and need none.
+The formula paths read the Möbius table only: numtheory caches the
+read-only signed-byte view moebius_values returns, and each walk reads
+Python ints from it, by itertools.compress or, per block of equal
+quotient, by bytes.count.
 """
 
 import sys
-from itertools import groupby
+from itertools import compress, groupby
 from math import gcd, isqrt
 from operator import itemgetter
 
 from .errors import BudgetExceededError
 
-BACKEND = "numpy"
+BACKEND = "python"
 
 ORDERED, NONDECREASING, STRICT = 0, 1, 2
 
@@ -59,17 +55,22 @@ _TUPLE_BLOCK = 1 << 14
 # budget of 22 elements allows at most 2^10 high classes
 _SUBSET_CLASSES = 1 << 17
 # the largest Möbius sieve, refused past it before any allocation.  The
-# sieve peaks at about 3 bytes per entry while it is built and keeps 1,
-# so G(2^24, 2) peaked 50 MB above a cold process, in 2.4 s on a 2-core
+# sieve peaks at about 2 bytes per entry while it is built and keeps 1,
+# so G(2^24, 2) peaked 42 MB above a cold process, in 0.72 s on a 2-core
 # host; this admits the 10^7 the docs use and every limit the tests and
 # the benchmark reach, at most 3 * 10^6 and 2 * 10^5
 MAX_SIEVE_LIMIT = 1 << 24
+# the sieve's byte maps over its three state bits (see moebius_values):
+# one flips bit 1, the other sends each state to mu mod 256, 0 wherever
+# bit 2, a square, is set; states past 7 never occur
+_FLIP_SMALL_PARITY = bytes([1, 0, 3, 2, 5, 4, 7, 6]) + bytes(248)
+_MOEBIUS_OF_STATE = bytes([1, 255, 0, 0, 255, 1, 0, 0]) + bytes(248)
 
 
 def _check_sieve_limit(limit: int):
     # refuse a sieve past MAX_SIEVE_LIMIT before any allocation; past what
-    # an array can index, where numpy would raise a bare ValueError, the
-    # refusal is an OverflowError
+    # a bytearray can index, where its size would raise a bare
+    # OverflowError, the refusal is an OverflowError too
     if limit > MAX_SIEVE_LIMIT:
         kind = OverflowError if limit >= sys.maxsize else BudgetExceededError
         raise kind(f"a Möbius sieve to {limit} passes the limit of {MAX_SIEVE_LIMIT}")
@@ -78,31 +79,43 @@ def _check_sieve_limit(limit: int):
 def moebius_values(limit: int):
     """Möbius values mu[0..limit] by sieving; mu[0] is a filler zero.
 
-    One loop over the primes p <= isqrt(limit) crosses off p's multiples
-    from p^2 on, flips the sign of every multiple of p and zeroes those
-    of p^2.  The entries above isqrt(limit) left uncrossed are the large
-    primes q.  Every n <= limit has at most one prime factor above
-    isqrt(limit), and n = m * q with m <= limit // (isqrt(limit) + 1), so
-    one fancy-indexed flip per m, over the q <= limit // m, gives q its
-    sign.
+    Returned as a read-only memoryview of bytes, cast to signed bytes,
+    so indexing, iteration and tolist() give -1, 0 and 1 as Python ints,
+    and its .obj holds mu mod 256 for bytes.count.
+
+    Each entry gathers three bits: bit 1 is the parity of its prime
+    factors up to isqrt(limit), the small primes; bit 2 says the square
+    of one of them divides it; bit 4 says it has a prime factor q above
+    isqrt(limit).  It has at most one such q, and each of its divisors
+    above isqrt(limit) is a multiple of q.  So when each cofactor m, in
+    rising order, copies the prime flags of isqrt(limit) + 1..limit // m
+    onto their multiples m * j, the last j written at an entry is its
+    least divisor above isqrt(limit): q, flagged, when it has one, and
+    an unflagged composite otherwise.  Slice operations on bytearrays
+    do every write, and Python loops only over the small primes and the
+    cofactors.  The sieve peaks at about 2 bytes per entry.
     """
     _check_sieve_limit(limit)
-    import numpy as np
-
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    uncrossed = np.ones(limit + 1, dtype=bool)
     root = isqrt(limit)
+    state = bytearray(b"\4") * (limit + 1)
     for p in range(2, root + 1):
-        if uncrossed[p]:
-            uncrossed[p * p :: p] = False
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-    large = root + 1 + np.flatnonzero(uncrossed[root + 1 :])
-    for m in range(1, limit // (root + 1) + 1):
-        q = large[: int(np.searchsorted(large, limit // m, side="right"))]
-        mu[m * q] *= -1
-    return mu
+        if state[p]:
+            state[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    small = list(compress(range(2, root + 1), state[2 : root + 1]))
+    # cofactor 1 leaves the prime flags above the root where they are;
+    # the larger cofactors copy them from flags.  Entry 0 is marked as a
+    # square, so that it reads 0
+    flags = state[root + 1 : limit // 2 + 1]
+    state[: root + 1] = b"\2" + bytes(root)
+    for m in range(2, limit // (root + 1) + 1):
+        top = limit // m
+        state[m * (root + 1) : m * top + 1 : m] = flags[: top - root]
+    del flags
+    for p in small:
+        state[p::p] = state[p::p].translate(_FLIP_SMALL_PARITY)
+        state[p * p :: p * p] = b"\2" * len(range(p * p, limit + 1, p * p))
+    state = state.translate(_MOEBIUS_OF_STATE)
+    return memoryview(bytes(state)).cast("b")
 
 
 def subset_gcd_counts(elements, fold: int) -> list:

@@ -2,17 +2,18 @@
 
 Every count in the package is one sum: mu(d) * weight(kernel(d)) over
 squarefree d, where the kernel is |X_d| (union_multiples) for the subset
-counters here and floor(n/d) for the tuple counters in shonhiwa.
-divisor_sum walks two of its three divisor sources: with no modulus,
-every squarefree d up to the bound, read off the cached int8 Möbius
-sieve as Python ints one chunk of _SIEVE_CHUNK entries at a time, so
-the walk never holds the whole stream, and summed into a weight-free
-histogram, the sum of mu per kernel value, which weigh then weighs once
-per value, because that walk meets each value many times; with a
-modulus, its squarefree divisors, found from its own primes and
-weighed term by term.  Small sets take the third source, the divisors
-two elements share (shared_divisor_sum), which refuses a set whose
-shared divisors would pass _MAX_SHARED_WORK before building any.
+counters here and floor(n/d) for the tuple counters in shonhiwa.  It
+has three divisor sources.  With no modulus, every squarefree d up to
+the bound, read off the cached Möbius sieve: sieve_histogram streams
+the d with mu(d) != 0 through itertools.compress and sums them into a
+weight-free histogram, the sum of mu per kernel value, which weigh then
+weighs once per value, because that walk meets each value many times;
+for floor(n/d), quotient_histogram builds the same histogram per block
+of equal quotient with bytes.count, without a step per d.  With a
+modulus, divisor_sum walks its squarefree divisors, found from its own
+primes and weighed term by term.  Small sets take the third source, the
+divisors two elements share (shared_divisor_sum), which refuses a set
+whose shared divisors would pass _MAX_SHARED_WORK before building any.
 mobius_sum keeps positive and negative contributions in two totals,
 for speed.
 
@@ -25,7 +26,7 @@ times, not for a single count in a fresh process.
 
 from collections import Counter, defaultdict
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, compress
 from math import comb, gcd, isqrt, prod
 from operator import floordiv
 
@@ -41,10 +42,6 @@ from .setmodel import ProgressionUnion, interval, union_multiples, validate_unio
 # 2.9 s and 104 MB there, and the tests and the benchmark need at most
 # 1405
 _MAX_SHARED_WORK = 1 << 21
-# sieve_histogram converts the sieve to Python ints this many entries at
-# a time, about 9 MB of them per chunk; every sieve the benchmark takes,
-# to at most 2 * 10^5, is one chunk
-_SIEVE_CHUNK = 1 << 18
 
 
 def binomial(n: int, k: int) -> int:
@@ -120,34 +117,38 @@ def weigh(pairs, weight) -> int:
 def sieve_histogram(bound: int, kernel) -> tuple:
     """The histogram of kernel(d) over every squarefree d <= bound.
 
-    The nonzero entries of the sieve to the bound are converted to
-    Python ints _SIEVE_CHUNK entries at a time, so no numpy scalar
-    enters the kernel or the sums, and the walk holds the one-byte-per-
-    entry sieve plus one chunk of Python ints, never the whole stream.
+    itertools.compress reads the d and the mu(d) with mu(d) != 0 off the
+    cached sieve to the bound as Python ints, so the walk holds the
+    one-byte-per-entry sieve and never the stream.
     """
-    return histogram(chain.from_iterable(_nonzero_chunks(moebius_sieve(bound))), kernel)
+    mu = moebius_sieve(bound)
+    return histogram(zip(compress(range(len(mu)), mu), compress(mu, mu)), kernel)
 
 
-def _nonzero_chunks(mu):
-    # one zip of (d, mu[d]) as Python ints over the nonzero mu[d] per
-    # _SIEVE_CHUNK entries of mu
-    for start in range(0, len(mu), _SIEVE_CHUNK):
-        d = mu[start : start + _SIEVE_CHUNK].nonzero()[0]
-        d += start
-        yield zip(d.tolist(), mu[d].tolist())
+def quotient_histogram(n: int) -> tuple:
+    """sieve_histogram(n, floor(n/d)), read per block of d with one
+    quotient q = floor(n/d).
+
+    A block's coefficient is the sum of mu over its d, two bytes.count
+    calls on the sieve's bytes, where -1 is stored as 255.  There are at
+    most 2 * isqrt(n) blocks, and they run from d = 1 up, so the pairs
+    come in the same order, q descending, as the walk's.
+    """
+    table, pairs, d = moebius_sieve(n).obj, [], 1
+    while d <= n:
+        q = n // d
+        end = n // q + 1
+        pairs.append((table.count(1, d, end) - table.count(255, d, end), q))
+        d = end
+    return tuple((c, q) for c, q in pairs if c)
 
 
 def divisor_sum(modulus, bound: int, kernel, weight) -> int:
-    """Sum of mu(d) * weight(kernel(d)) over squarefree d <= bound.
-
-    With modulus None every squarefree d qualifies, and the sum weighs
-    their sieve_histogram; otherwise only the divisors of the modulus
-    qualify, weighed term by term, since they rarely repeat a value.
-    Callers pick the bound so that the terms past it would contribute
-    zero.
+    """Sum of mu(d) * weight(kernel(d)) over the squarefree divisors
+    d <= bound of the modulus, weighed term by term, since they rarely
+    repeat a value.  Callers pick the bound so that the terms past it
+    would contribute zero.
     """
-    if modulus is None:
-        return weigh(sieve_histogram(bound, kernel), weight)
     terms = squarefree_divisor_terms(modulus, bound)
     return mobius_sum((mu, weight(kernel(d))) for d, mu in terms)
 
@@ -219,9 +220,9 @@ def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
     Factoring every element by trial division costs at most
     |X| * sqrt(max X) steps against max X sieve candidates, so when that
     is cheaper the sum comes from shared_divisor_sum, which factors only
-    the part of each element another element shares.  Otherwise it is
-    divisor_sum up to max X, whose sieve stream is the cached
-    subset_histogram; d beyond max X has |X_d| = 0.
+    the part of each element another element shares.  Otherwise it
+    weighs the cached subset_histogram with no modulus, and takes
+    divisor_sum up to max X with one; d beyond max X has |X_d| = 0.
     """
     top = X.max_element
     if X.size * isqrt(top) < top:
@@ -232,7 +233,11 @@ def subset_sum(X: ProgressionUnion, modulus, weight) -> int:
 
 
 def tuple_sum(n: int, modulus, weight) -> int:
-    """Sum of mu(d) * weight(floor(n/d)); d beyond n has floor(n/d) = 0."""
+    """Sum of mu(d) * weight(floor(n/d)) over squarefree d, every one
+    with modulus None, weighed per quotient from quotient_histogram, else
+    the divisors of the modulus; d beyond n has floor(n/d) = 0."""
+    if modulus is None:
+        return weigh(quotient_histogram(n), weight)
     return divisor_sum(modulus, n, partial(floordiv, n), weight)
 
 

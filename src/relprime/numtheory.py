@@ -1,16 +1,14 @@
 """Möbius sieve, squarefree divisor terms, and factoring.
 
 Everything works on plain Python integers so results stay exact at any
-size.  The Möbius sieve is the only array-backed piece, and the only
-function here that loads numpy: it runs the one numpy sieve in
-_kernels, which loops in Python only over the primes up to the square
-root of the limit and refuses a limit past _kernels.MAX_SIEVE_LIMIT.
-The Möbius table is cached as that int8 array, the last 8 limits,
-read-only because every caller shares it; each walk converts the
-nonzero entries it reads to Python ints, a chunk at a time, so
-fixed-width scalars never leak into big-integer sums.  counting caches
-a weight-free histogram per dense ground set on top of it, so a
-repeated count on one set skips both.
+size.  The Möbius sieve is the only table: moebius_sieve caches the
+read-only signed-byte view that _kernels.moebius_values sieves, the
+last 8 limits, shared by every caller; it loops in Python only over the
+primes up to the square root of the limit and its cofactors, and
+refuses a limit past _kernels.MAX_SIEVE_LIMIT.  Its entries read as
+Python ints, so fixed-width scalars never reach a big-integer sum.
+counting caches a weight-free histogram per dense ground set on top of
+it, so a repeated count on one set skips both.
 Factoring has one trial-division loop, _prime_factors, which finds
 each prime and its exponent in one pass; factorize and the squarefree
 divisor walk both read it.  It stays pure Python: past 2^16 it stops
@@ -34,12 +32,10 @@ _WITNESS_BOUND = 3317044064679887385961981
 
 @lru_cache(maxsize=8)
 def moebius_sieve(limit: int):
-    """mu[0..limit] as a read-only int8 array, sieved by
+    """mu[0..limit] as a read-only memoryview of signed bytes, sieved by
     _kernels.moebius_values; mu[0] is a filler zero."""
     check_positive(limit=limit)
-    mu = _kernels.moebius_values(limit)
-    mu.flags.writeable = False
-    return mu
+    return _kernels.moebius_values(limit)
 
 
 def factorize(n: int) -> list:

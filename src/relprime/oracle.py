@@ -10,8 +10,8 @@ counts prefixes by (gcd so far, last value) class, one step per class
 and next value, then, once per distinct gcd g, finds g's primes up to n
 by its own trial division, zeroes their multiples among the values left
 for the last position in bytearray windows and reads every class's
-count from the bytes left set.  Both walks are plain Python and load no
-numpy.  Budgets bound the work, stopping runaway recounts before they
+count from the bytes left set.  Both walks are plain Python, like the
+rest of the package.  Budgets bound the work, stopping runaway recounts before they
 start, and the subset walk refuses to outgrow its memory.  An
 OracleBudget is one of setmodel's immutable records.
 """

@@ -1,11 +1,13 @@
 """Constrained coprime tuple counts over [1, n].
 
-Five thin calls, through _tuple_count and tuple_sum, into the
-Möbius-sum core, counting.divisor_sum, whose kernel here is floor(n/d),
-the count of multiples of d in [1, n].  The modulus variants (S, L, T) walk the squarefree divisors
-of m, where terms with d > n vanish; the unconstrained variants (G, H)
-walk every squarefree d up to n, which is the same sum with m replaced
-by any multiple of all primes up to n.
+Five thin calls, through _tuple_count, into the Möbius-sum core,
+counting.tuple_sum, whose kernel here is floor(n/d), the count of
+multiples of d in [1, n].  The modulus variants (S, L, T) walk the
+squarefree divisors of m, where terms with d > n vanish; the
+unconstrained variants (G, H) take every squarefree d up to n, which is
+the same sum with m replaced by any multiple of all primes up to n, and
+weigh it once per block of d with one quotient floor(n/d), reading each
+block's sum of mu off the sieve to n.
 
 _tuple_count first bounds each count's result bits from bit lengths
 alone and refuses, before any weight is taken, a result that could pass

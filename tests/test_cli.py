@@ -250,7 +250,7 @@ def test_memory_error_and_interrupt_exit_cleanly(capsys, monkeypatch, raised,
 @pytest.mark.parametrize(
     "argv",
     [
-        # a sieve to 10^20 is past the largest array numpy can index
+        # a sieve to 10^20 is past the largest bytearray Python can index
         ("count", "G", "--n", str(10**20), "--k", "2"),
         ("count", "fk", "--set", f"1..{10**20}", "--k", "3"),
         # the modulus walk never sieves, but 2^(10^20) has too many digits

@@ -1,7 +1,10 @@
 """The divisor sources against their definitions and each other.
 
-divisor_sum, the one walk behind every counter, is checked against the
-sum built from single Möbius values on both of its streams.  subset_sum
+The two streams of the Möbius sum, the weighed sieve_histogram over
+every squarefree d and divisor_sum over the divisors of a modulus, are
+checked against the sum built from single Möbius values, and
+quotient_histogram's blocks against the sieve stream of floor(n/d) they
+replace for G and H.  subset_sum
 takes small sets from the divisors their elements share instead of
 sieving to max X.  That source is called directly here on the same
 inputs as its references: conftest's element_divisor_terms, the former
@@ -57,11 +60,14 @@ from relprime.counting import (
     divisor_sum,
     mobius_sum,
     power_of_two_minus_one,
+    quotient_histogram,
     shared_divisor_sum,
     shared_divisor_terms,
+    sieve_histogram,
     subset_histogram,
     subset_sum,
     tuple_sum,
+    weigh,
 )
 from relprime.numtheory import squarefree_divisor_terms
 from relprime.setmodel import enumerate_elements, union_multiples
@@ -495,8 +501,9 @@ def test_grouped_walk_equals_direct_sum_for_tuples():
 
 
 def test_sieve_stream_hands_only_python_ints_to_the_walk(monkeypatch):
-    # the sieve is an int8 array; a numpy scalar reaching the kernel or
-    # the grouping would wrap around in the kernel's and weight's arithmetic
+    # the sieve is a table of signed bytes; a fixed-width value reaching
+    # the kernel or the grouping could wrap around in the kernel's and
+    # weight's arithmetic
     streamed = []
     group = counting.histogram
 
@@ -512,7 +519,7 @@ def test_sieve_stream_hands_only_python_ints_to_the_walk(monkeypatch):
         kernel_args.append(d)
         return 3000 // d
 
-    total = divisor_sum(None, 3000, kernel, lambda q: q**5)
+    total = weigh(sieve_histogram(3000, kernel), lambda q: q**5)
     assert total == sum_by_definition(None, 3000, kernel, lambda q: q**5)
     assert streamed == [(d, moebius(d)) for d in range(1, 3001) if moebius(d)]
     assert all(type(d) is int and type(mu) is int for d, mu in streamed)
@@ -521,27 +528,32 @@ def test_sieve_stream_hands_only_python_ints_to_the_walk(monkeypatch):
 
 
 @settings(max_examples=60)
-@given(st.integers(min_value=1, max_value=20000), st.integers(min_value=1, max_value=64))
-@example(10**6, counting._SIEVE_CHUNK)
-def test_chunked_sieve_stream_equals_the_whole_array_stream(bound, chunk):
-    # a small chunk crosses chunk edges; the 10^6 example takes the real
-    # chunk over four of its edges
+@given(st.integers(min_value=1, max_value=20000))
+@example(10**6)
+def test_compressed_sieve_stream_equals_the_whole_array_stream(bound):
     kernels = (partial(floordiv, bound),
                partial(union_multiples, validate_union([Progression(1, 3, bound)])))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "_SIEVE_CHUNK", chunk)
-        for kernel in kernels:
-            assert counting.sieve_histogram(bound, kernel) == whole_array_histogram(bound, kernel)
+    for kernel in kernels:
+        assert sieve_histogram(bound, kernel) == whole_array_histogram(bound, kernel)
 
 
-def test_sieve_stream_memory_stays_within_a_chunk():
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=20000))
+@example(10**6)
+@example(1000**2)  # a perfect square, whose blocks meet at its root
+def test_quotient_blocks_equal_the_floor_stream(n):
+    assert type(quotient_histogram(n)) is tuple
+    assert quotient_histogram(n) == sieve_histogram(n, partial(floordiv, n))
+
+
+def test_sieve_stream_memory_stays_within_the_sieve():
     # the whole stream to 3 * 10^6 as Python ints would take over 100 MB;
-    # the walk holds the sieve, about 3 bytes per entry while it is built,
-    # and one chunk of ints
+    # the walk holds the sieve, about 2 bytes per entry while it is built,
+    # and no stream
     numtheory.moebius_sieve.cache_clear()
     tracemalloc.start()
     try:
-        pairs = counting.sieve_histogram(3 * 10**6, partial(floordiv, 3 * 10**6))
+        pairs = sieve_histogram(3 * 10**6, partial(floordiv, 3 * 10**6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -585,14 +597,20 @@ TUPLE_WEIGHTS = {
 @example(modulus=HUGE_MODULUS, bound=300000, kernel="floor", weight="C(q,k)", k=2)
 @example(modulus=HUGE_MODULUS, bound=300000, kernel="residue", weight="q^k", k=3)
 def test_divisor_sum_matches_its_definition(modulus, bound, kernel, weight, k):
+    # with no modulus every squarefree d counts, which the sieve stream
+    # walks: divisor_sum takes only the divisors of a modulus
     kernel, weight = KERNELS[kernel](bound), TUPLE_WEIGHTS[weight](k)
     expected = sum_by_definition(modulus, bound, kernel, weight)
+    if modulus is None:
+        total = lambda: weigh(sieve_histogram(bound, kernel), weight)
+    else:
+        total = lambda: divisor_sum(modulus, bound, kernel, weight)
     if expected < 0:
         # a negative sum is never a count, so the walk refuses it
         with pytest.raises(ArithmeticError):
-            divisor_sum(modulus, bound, kernel, weight)
+            total()
     else:
-        assert divisor_sum(modulus, bound, kernel, weight) == expected
+        assert total() == expected
 
 
 @settings(max_examples=100)
