@@ -14,8 +14,6 @@ modulus, divisor_sum walks its squarefree divisors, found from its own
 primes and weighed term by term.  Small sets take the third source, the
 divisors two elements share (shared_divisor_sum), which refuses a set
 whose shared divisors would pass _MAX_SHARED_WORK before building any.
-mobius_sum keeps positive and negative contributions in two totals,
-for speed.
 
 The histogram of a dense ground set does not depend on the weight, so
 f and f_k for every k share it: subset_histogram caches it per set, the
@@ -59,34 +57,21 @@ def power_of_two_minus_one(e: int) -> int:
 
 
 def mobius_sum(terms) -> int:
-    """Fold (coefficient, value) pairs into the exact nonnegative total
-    of coefficient * value.
+    """The exact total of coefficient * value over (coefficient, value)
+    pairs, in any order.
 
     A coefficient is mu(d) for a single term, or the sum of mu(d) over
-    every d that shares one value.  A negative final value would mean a
+    every d that shares one value.  A negative total would mean a
     formula or kernel bug, never a rounding artifact (there is no
     floating point anywhere), so it raises instead of returning.
-
-    Positive and negative parts go into two totals rather than one, for
-    speed: the sieve histogram lists d = 1's value, the largest, first,
-    so the negative total starts at d = 2's value, far narrower
-    than d = 1's, and each later negative value is added into it
-    without copying the full width.  On the 619 grouped pairs of
-    f([1, 2*10^5]) one total took about 1.4 times as long as two.
     """
-    pos = 0
-    neg = 0
+    total = 0
     for c, value in terms:
-        # single terms carry c = mu(d) and skip a big multiply
-        if c == 1:
-            pos += value
-        elif c == -1:
-            neg += value
-        elif c > 0:
-            pos += c * value
-        elif c < 0:
-            neg -= c * value
-    total = pos - neg
+        # every single term's coefficient is +-1, added without a multiply
+        if c == -1:
+            total -= value
+        else:
+            total += value if c == 1 else c * value
     if total < 0:
         raise ArithmeticError(f"Möbius sum collapsed to {total}; counts cannot be negative")
     return total
@@ -99,9 +84,7 @@ def histogram(terms, kernel) -> tuple:
     so weigh of the histogram equals mobius_sum of
     (mu, weight(kernel(d))) term by term, with one weight and one big
     multiply-add per distinct e.  Values whose coefficients cancel to
-    zero are dropped.  The pairs keep the order their values were first
-    met in, which for the sieve stream starts at d = 1's value, the
-    largest; mobius_sum's narrow negative total relies on that order.
+    zero are dropped.
     """
     coefficients = defaultdict(int)
     for d, mu in terms:
@@ -131,8 +114,7 @@ def quotient_histogram(n: int) -> tuple:
 
     A block's coefficient is the sum of mu over its d, two bytes.count
     calls on the sieve's bytes, where -1 is stored as 255.  There are at
-    most 2 * isqrt(n) blocks, and they run from d = 1 up, so the pairs
-    come in the same order, q descending, as the walk's.
+    most 2 * isqrt(n) blocks.
     """
     table, pairs, d = moebius_sieve(n).obj, [], 1
     while d <= n:

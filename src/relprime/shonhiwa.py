@@ -54,11 +54,12 @@ def _tuple_count(ordering, n, k, m, weight):
     ordering, after its arguments are checked and its cost is bounded.
 
     A result that could pass _MAX_RESULT_BITS bits is refused, bounded
-    from bit lengths alone: n^k ordered, C(n+k-1, k) <= (n+k-1)^min(k, n-1)
-    nondecreasing and C(n, k) <= n^max(0, min(k, n-k)) strict, zero when
-    k > n.  The same bound holds for the largest weight: a power n^k,
-    refused past _MAX_POWER_BITS, or a binomial, whose bits times its
-    smaller side bound its work, refused past _MAX_BINOMIAL_WORK.
+    from bit lengths alone: n^k ordered (1^0 when n = 1, since 1^k = 1),
+    C(n+k-1, k) <= (n+k-1)^min(k, n-1) nondecreasing and
+    C(n, k) <= n^max(0, min(k, n-k)) strict, zero when k > n.  The same
+    bound holds for the largest weight: a power n^k, refused past
+    _MAX_POWER_BITS, or a binomial, whose bits times its smaller side
+    bound its work, refused past _MAX_BINOMIAL_WORK.
 
     Only the weights of floor(n/d) for d <= isqrt(n) can have half the
     largest weight's bits or more.  A binomial's smaller side is also at
@@ -71,7 +72,7 @@ def _tuple_count(ordering, n, k, m, weight):
     """
     check_positive(n=n, k=k, m=1 if m is None else m)
     base, exponent = {
-        "ordered": (n, k),
+        "ordered": (n, k if n > 1 else 0),
         "nondecreasing": (n + k - 1, min(k, n - 1)),
         "strict": (n, max(0, min(k, n - k))),
     }[ordering]

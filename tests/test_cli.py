@@ -363,6 +363,24 @@ def test_wide_tuple_results_exit_4_at_once(capsys, argv, bits):
 
 
 @pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("count", ("G", "--n", "1", "--k", "300000000")),
+        ("count", ("S", "--n", "1", "--k", "5000000", "--m", "6")),
+        ("verify", ("G", "--n", "1", "--k", "300000000")),
+    ],
+    ids=("G", "S", "verify-G"),
+)
+def test_ordered_tuples_over_one_value_answer_at_once(capsys, command, argv):
+    # 1^k = 1 whatever k, so neither bound may refuse these
+    start = perf_counter()
+    code, out, err = run(capsys, command, *argv)
+    assert perf_counter() - start < 1.0
+    (record,) = json_lines(out)
+    assert (code, err, record["result"], record.get("verified", True)) == (0, "", "1", True)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         # 2^20000 tuples: past str()'s 4300 digits, so never shown

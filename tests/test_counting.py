@@ -2,9 +2,10 @@
 
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relprime import (
@@ -216,3 +217,72 @@ def test_subsets_grouped_by_gcd_are_every_subset(lo, width):
     total = sum(times * f(validate_union([interval(a, b)]))
                 for (a, b), times in intervals.items() if a <= b)
     assert total == 2 ** (width + 1) - 1
+
+
+def multiples_divided(X, g):
+    """X^(g) = {x/g : g divides x} as a union of progressions, or None
+    when g divides no element.  A part's multiples of g are its terms
+    first + i*step with i = i0 modulo g/gcd(step, g), so they form one
+    progression, and dividing by g keeps the parts disjoint."""
+    parts = []
+    for p in X.parts:
+        d = gcd(p.step, g)
+        if p.first % d:
+            continue
+        period = g // d
+        i0 = -(p.first // d) * pow(p.step // d, -1, period) % period
+        if i0 < p.length:
+            parts.append(Progression((p.first + i0 * p.step) // g, p.step // d,
+                                     (p.length - 1 - i0) // period + 1))
+    return validate_union(parts) if parts else None
+
+
+@st.composite
+def ap_unions(draw):
+    """Disjoint unions of up to four progressions with 30-200 elements,
+    past the subset oracle's reach: parts side by side, or interleaved on
+    one step with distinct residues."""
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        step = draw(st.integers(2, 12))
+        residues = draw(st.lists(st.integers(1, step), min_size=1, max_size=count, unique=True))
+        parts = [Progression(r + step * draw(st.integers(0, 20)), step, draw(st.integers(1, 100)))
+                 for r in residues]
+    else:
+        parts, lo = [], 1
+        for _ in range(count):
+            p = Progression(lo + draw(st.integers(0, 50)), draw(st.integers(1, 12)),
+                            draw(st.integers(1, 100)))
+            parts.append(p)
+            lo = p.max_element + 1
+    X = validate_union(parts)
+    assume(30 <= X.size <= 200)
+    return X
+
+
+def test_multiples_divided_matches_the_elements():
+    X = parse_set_spec("ap(3,5,60) + ap(4,5,50)")
+    elements = [x for p in X.parts for x in p.elements()]
+    for g in range(1, X.max_element + 2):
+        Y = multiples_divided(X, g)
+        got = sorted(y for p in Y.parts for y in p.elements()) if Y else []
+        assert got == sorted(x // g for x in elements if x % g == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ap_unions())
+def test_f_over_the_gcds_of_an_ap_union_counts_every_subset(X):
+    # a nonempty subset with gcd g is g times a relatively prime subset
+    # of X^(g), so f summed over every g counts each subset once
+    total = sum(f(Y) for g in range(1, X.max_element + 1) if (Y := multiples_divided(X, g)))
+    assert total == 2**X.size - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(ap_unions(), st.sampled_from([1, 2, 12, 360, 2310, 30030, 720720]))
+def test_phi_over_the_divisors_of_m_counts_every_subset(X, m):
+    # a nonempty subset A with gcd(A + {m}) = g is g times a subset of
+    # X^(g) relatively prime to m/g
+    total = sum(phi(Y, m // g) for g in range(1, m + 1)
+                if m % g == 0 and (Y := multiples_divided(X, g)))
+    assert total == 2**X.size - 1

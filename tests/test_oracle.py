@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from unittest.mock import patch
 
 import pytest
@@ -167,6 +167,45 @@ def test_tuple_budget_refuses_huge_spaces_at_once():
         with pytest.raises(BudgetExceededError, match="^more than 10\\^4000 tuples"):
             brute_tuples(*args)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "n, k, budget",
+    # 3^8400 has 13314 bits, under 13620, though 8400 * bitlen(3) is not;
+    # 4^6700 = 2^13400 and its prefixes fit 2^13401 - 1 exactly
+    [(3, 8400, 10**4100), (4, 6700, 2**13401 - 1)],
+    ids=("3^8400", "4^6700"),
+)
+def test_ordered_walk_size_settles_from_bit_lengths_only_past_the_cap(n, k, budget):
+    # n^k >= 2^(k (bitlen n - 1)) is the one bound that refuses without
+    # the power, so these walks, a few classes and k steps, must run
+    assert brute_tuples(n, k, None, "ordered", OracleBudget(max_tuple_space=budget)) == g_count(n, k)
+
+
+@pytest.mark.parametrize(
+    "ordering, tuples, prefixes",
+    [
+        ("nondecreasing", comb(10**2001 + 1, 2), comb(10**2001 + 2, 2) - 1),
+        ("strict", comb(10**2001, 2), comb(10**2001 + 1, 2) - 1),
+    ],
+    ids=("nondecreasing", "strict"),
+)
+def test_walk_size_edges_past_the_shown_counts(monkeypatch, ordering, tuples, prefixes):
+    # budgets past 10^4000 are the cap itself, so the capped binomials
+    # decide at their edges: the prefixes at the budget, and the tuples
+    # choose the message
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(_kernels, "tuple_gcd_count", walk)
+    with pytest.raises(AssertionError, match="the walk ran"):
+        brute_tuples(10**2001, 2, None, ordering, OracleBudget(max_tuple_space=prefixes))
+    big = "more than 10\\^4000"
+    for budget, message in ((prefixes - 1, f"^{big} prefixes of {big} tuples to build"),
+                            (tuples, f"^{big} prefixes of {big} tuples to build"),
+                            (tuples - 1, f"^{big} tuples to enumerate")):
+        with pytest.raises(BudgetExceededError, match=message):
+            brute_tuples(10**2001, 2, None, ordering, OracleBudget(max_tuple_space=budget))
 
 
 def test_tuple_domain():

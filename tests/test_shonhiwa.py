@@ -33,11 +33,12 @@ def test_s_count_examples():
     for n, k in [(3, 2), (5, 3), (7, 1)]:
         assert s_count(n, k, 1) == n**k
     assert s_count(3, 2, 30) == 7
+    assert s_count(1, 10**30, 6) == 1  # 1^k = 1, so no bound may refuse it
 
 
 def test_g_count_examples():
     assert g_count(3, 2) == 7
-    for k in (1, 2, 5):
+    for k in (1, 2, 5, 10**30):
         assert g_count(1, k) == 1
     assert g_count(4, 2) == 11
 
@@ -182,6 +183,40 @@ def test_heavy_weights_together_are_refused_before_any_weight(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="a weight was computed"):
             call()
+
+
+def no_weights(*args):
+    raise AssertionError("a weight was computed")
+
+
+def test_nondecreasing_bound_is_its_base_and_exponent_at_the_edge(monkeypatch):
+    # h_count(8, 8) bounds C(15, 8) by 15^7, 4 bits times 7, whose work is
+    # 28 * 7 = 196; h_count(8, 9) has base 16, 5 bits, so 35 * 7 = 245.
+    # A base or an n - 1 one off moves either work across its edge.
+    monkeypatch.setattr(shonhiwa, "tuple_sum", no_weights)
+    for n, k, bits, work in ((8, 8, 28, 196), (8, 9, 35, 245)):
+        monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", work)
+        with pytest.raises(AssertionError, match="a weight was computed"):
+            h_count(n, k)
+        monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", work - 1)
+        with pytest.raises(BudgetExceededError, match=f"binomial weights of {bits} bits"):
+            h_count(n, k)
+
+
+@pytest.mark.parametrize("k, bits, work", [(25, 175, 8750), (23, 161, 7406)])
+def test_heavy_binomial_weights_stop_at_twice_n_over_the_exponent(monkeypatch, k, bits, work):
+    # h_count(100, k) weighs C(q + k - 1, k), at most 7 bits times k and
+    # that times k work; 2 * 100 // k = 8 < isqrt(100) heavy weights reach
+    # 8 * bits * k, which 4 * work admits and 4 * (work - 1) refuses.
+    # 200 // 26 = 7 and 200 // 22 = 9, so a count one off either way, or
+    # a divisor of k + 1 or k - 1, crosses the edge.
+    monkeypatch.setattr(shonhiwa, "tuple_sum", no_weights)
+    monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", work)
+    with pytest.raises(AssertionError, match="a weight was computed"):
+        h_count(100, k)
+    monkeypatch.setattr(shonhiwa, "_MAX_BINOMIAL_WORK", work - 1)
+    with pytest.raises(BudgetExceededError, match=f"may take 8 weights of up to {bits} bits"):
+        h_count(100, k)
 
 
 def test_divisors_of_m_are_counted_only_past_the_cheap_bound(monkeypatch):
